@@ -585,60 +585,6 @@ let micro ?(quick = false) ?(json = false) () =
         (fun (label, pct) -> ("observability:obs-overhead-" ^ label, pct))
         obs_overheads
   in
-  (* multilevel vs single-level total cost at the same (delta, eps): the
-     multilevel campaign's model cost (paths × per-path cost, in
-     full-resolution-path units) against the Chernoff plan (every path
-     at full resolution, unit cost each).  The sample schedule is a
-     deterministic function of the seed, so the ratio is a stable
-     contract, not a flaky measurement; the >= 2x floor is the
-     optimization's reason to exist. *)
-  let mlmc_rows =
-    let delta = 0.05 and eps = 0.02 in
-    let levels = 4 in
-    let r =
-      match
-        Slimsim_sim.Mlmc_run.create ~seed:42L ~levels nominal_net
-          ~goal:nominal_goal ~horizon:300.0 ~strategy:Strategy.Asap ~delta ~eps
-          ()
-      with
-      | Error e -> failwith (Slimsim_sim.Path.error_to_string e)
-      | Ok c -> (
-        match Slimsim_sim.Mlmc_run.drive c with
-        | Ok r -> r
-        | Error e -> failwith (Slimsim_sim.Path.error_to_string e))
-    in
-    let open Slimsim_sim.Mlmc_run in
-    let chernoff_cost =
-      float_of_int (Slimsim_stats.Bound.chernoff_samples ~delta ~eps)
-    in
-    let ratio = chernoff_cost /. r.model_cost in
-    Fmt.pr "  %-45s %11.3f s %14.1f paths/s@." "mlmc: gps-nominal (4 levels)"
-      r.wall_seconds
-      (float_of_int r.paths /. r.wall_seconds);
-    Fmt.pr "  %-45s %13.1f (%a samples)@." "mlmc: model cost (full-path units)"
-      r.model_cost
-      Fmt.(array ~sep:(any "/") int)
-      r.samples_per_level;
-    Fmt.pr "  %-45s %13.2fx %s@." "mlmc: cost ratio vs chernoff" ratio
-      (if ratio >= 2.0 then "[contract >=2x: OK]" else "[contract >=2x: FAIL]");
-    if ratio < 2.0 then
-      failwith
-        (Printf.sprintf
-           "mlmc cost contract violated: %.2fx < 2x vs chernoff (cost %.1f vs %.1f)"
-           ratio r.model_cost chernoff_cost);
-    [
-      Printf.sprintf
-        "{\"name\": \"mlmc:gps-nominal\", \"model_cost\": %.1f, \"paths\": %d, \
-         \"paths_per_sec\": %.1f, \"wall_s\": %.3f, \"levels\": %d, \"cores\": 1}"
-        r.model_cost r.paths
-        (float_of_int r.paths /. r.wall_seconds)
-        r.wall_seconds levels;
-      Printf.sprintf
-        "{\"name\": \"mlmc:gps-nominal-cost-ratio\", \"chernoff_cost\": %.1f, \
-         \"mlmc_cost\": %.1f, \"ratio\": %.2f, \"cores\": 1}"
-        chernoff_cost r.model_cost ratio;
-    ]
-  in
   (* priced-STA overhead: the same fixed-N Chernoff campaign on gps
      nominal run plain and with the E[cost] accumulator attached.  The
      cost extraction is post-verdict and draws no randomness, so both
@@ -669,16 +615,20 @@ let micro ?(quick = false) ?(json = false) () =
         | Error e -> failwith (Slimsim_sim.Path.error_to_string e))
     in
     let run_cost () =
+      let generator =
+        Slimsim_stats.Generator.create Slimsim_stats.Generator.Chernoff ~delta
+          ~eps
+      in
       match
-        Slimsim_sim.Cost_run.create ~seed:42L nominal_net ~goal:nominal_goal
-          ~horizon:300.0 ~strategy:Strategy.Asap ~cost_var
-          ~query:"E[x ; <> [0, 300] measurement]"
-          ~kind:Slimsim_stats.Generator.Chernoff ~delta ~eps ()
+        Slimsim_sim.Campaign.create ~seed:42L
+          ~cost:(cost_var, "E[x ; <> [0, 300] measurement]")
+          nominal_net ~goal:nominal_goal ~horizon:300.0
+          ~strategy:Strategy.Asap ~generator ()
       with
       | Error e -> failwith (Slimsim_sim.Path.error_to_string e)
       | Ok c -> (
-        match Slimsim_sim.Cost_run.drive c with
-        | Ok r -> r
+        match Slimsim_sim.Campaign.drive c with
+        | Ok r -> Slimsim_sim.Cost_run.of_campaign ~delta c r
         | Error e -> failwith (Slimsim_sim.Path.error_to_string e))
     in
     (* interleaved best-of-3 so drift hits both variants equally *)
@@ -852,7 +802,7 @@ let micro ?(quick = false) ?(json = false) () =
     let oc = open_out "BENCH_sim.json" in
     let pr fmt = Printf.fprintf oc fmt in
     pr "[\n";
-    let extra_rows = mlmc_rows @ cost_rows @ dist_rows in
+    let extra_rows = cost_rows @ dist_rows in
     List.iteri
       (fun i (name, ns, per_sec, wall) ->
         (* one-path kernels are single-threaded by construction *)

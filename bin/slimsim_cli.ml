@@ -230,18 +230,7 @@ let simulate_cmd =
       & opt generator_conv S.Generator.Chernoff
       & info [ "g"; "generator" ]
           ~doc:
-            "Sample-count rule: chernoff, hoeffding, gauss, chow-robbins or \
-             mlmc (multilevel Monte Carlo over coupled coarse/fine paths; \
-             see --mlmc-levels).")
-  and mlmc_levels =
-    Arg.(
-      value & opt int 4
-      & info [ "mlmc-levels" ] ~docv:"L"
-          ~doc:
-            "With --generator mlmc: the fidelity hierarchy depth.  Level l \
-             simulates at horizon H/2^(L-1-l); level L-1 is the full \
-             property horizon, and L=1 degenerates to the classic \
-             single-level campaign (bit-identical path streams).")
+            "Sample-count rule: chernoff, hoeffding, gauss or chow-robbins.")
   and deadlock_error =
     Arg.(
       value & flag
@@ -473,8 +462,7 @@ let simulate_cmd =
              with actions kill, exit, stall, corrupt, dup, delay — e.g. \
              'w1:kill@120;a0:stall@300'.")
   in
-  let run file prop query strategy delta eps workers generator mlmc_levels
-      deadlock_error engine on_error seed no_lint max_steps max_sim_time
+  let run file prop query strategy delta eps workers generator deadlock_error engine on_error seed no_lint max_steps max_sim_time
       max_wall_per_path on_divergence checkpoint checkpoint_every resume
       metrics log_json progress no_prepass buffer drop_stall_limit max_restarts
       distribute worker_cmd lease dist_heartbeat dist_liveness chaos =
@@ -514,9 +502,9 @@ let simulate_cmd =
         match Slimsim_props.Pattern.parse_query q with
         | Error e -> die 1 ("slimsim: " ^ e)
         | Ok (Slimsim_props.Pattern.Prob _) -> `Prop q
-        | Ok parsed -> `Cost (q, parsed))
+        | Ok _ -> `Cost q)
     in
-    let prop_src = match query_form with `Prop p -> p | `Cost (q, _) -> q in
+    let prop_src = match query_form with `Prop p | `Cost p -> p in
     let m =
       match load file with Ok m -> m | Error e -> die 1 e
     in
@@ -562,37 +550,15 @@ let simulate_cmd =
             (Slimsim_sim.Supervisor.divergence_policy_to_string on_divergence)
         );
       ];
-    if generator = S.Generator.Mlmc && distribute <> None then
-      die 1
-        "slimsim: --generator mlmc is not supported with --distribute (the \
-         coupled sampler is sequential); drop one of the two flags";
-    if mlmc_levels < 1 || mlmc_levels > 16 then
-      die 1 "slimsim: --mlmc-levels must be between 1 and 16";
     match query_form with
-    | `Cost (qsrc, parsed) ->
-      (* Cost queries run in one process: distribution workers and the
-         serve protocol exchange plain probability estimates and have no
-         channel for a cost accumulator. *)
+    | `Cost qsrc ->
+      (* Cost queries run in one process: distribution workers exchange
+         plain probability estimates and have no channel for a cost
+         accumulator. *)
       if distribute <> None then
         die 1
           "slimsim: cost queries are not supported with --distribute; run \
            them in a single process";
-      (match parsed with
-      | Slimsim_props.Pattern.Cost_expect _ | Slimsim_props.Pattern.Cost_dist _
-        ->
-        if generator = S.Generator.Mlmc then
-          die 1
-            "slimsim: --generator mlmc is not supported for E[...]/D[...] \
-             cost queries (the multilevel estimator targets a probability); \
-             use chernoff, hoeffding, gauss or chow-robbins";
-        if workers > 1 then
-          Log.warn
-            ~fields:[ ("requested_workers", Json.Int workers) ]
-            (Printf.sprintf
-               "cost accumulation drives a sequential sampler; running with \
-                workers = 1 (requested %d)"
-               workers)
-      | _ -> ());
       (match
          S.check_cost ~workers ~seed ~generator ~on_deadlock ~engine ~on_error
            ~supervisor ?progress ~max_steps ?max_sim_time ?max_wall_per_path
@@ -765,23 +731,9 @@ let simulate_cmd =
         else teardown ())
     | None -> (
     match
-      if generator = S.Generator.Mlmc then begin
-        if workers > 1 then
-          Log.warn
-            ~fields:[ ("requested_workers", Json.Int workers) ]
-            (Printf.sprintf
-               "the mlmc generator drives a coupled sequential sampler; \
-                running with workers = 1 (requested %d)"
-               workers);
-        S.check_mlmc ~seed ~on_deadlock ~engine ~on_error ~supervisor
-          ?progress ~max_steps ?max_sim_time ?max_wall_per_path
-          ~prepass:(not no_prepass) ~levels:mlmc_levels m ~property:prop
-          ~strategy ~delta ~eps ()
-      end
-      else
-        S.check ~workers ~seed ~generator ~on_deadlock ~engine ~on_error
-          ~supervisor ?progress ~max_steps ?max_sim_time ?max_wall_per_path
-          ~prepass:(not no_prepass) m ~property:prop ~strategy ~delta ~eps ()
+      S.check ~workers ~seed ~generator ~on_deadlock ~engine ~on_error
+        ~supervisor ?progress ~max_steps ?max_sim_time ?max_wall_per_path
+        ~prepass:(not no_prepass) m ~property:prop ~strategy ~delta ~eps ()
     with
     | Ok r ->
       Fmt.pr "%a@." S.pp_estimate r;
@@ -819,7 +771,7 @@ let simulate_cmd =
     Term.(
       const run $ model_arg $ prop_opt $ query $ strategy_arg $ delta $ eps
       $ workers
-      $ generator $ mlmc_levels $ deadlock_error $ engine $ on_error
+      $ generator $ deadlock_error $ engine $ on_error
       $ seed_arg $ no_lint_arg
       $ max_steps $ max_sim_time $ max_wall_per_path $ on_divergence
       $ checkpoint $ checkpoint_every $ resume $ metrics $ log_json $ progress

@@ -3,10 +3,14 @@
 
 module Loader = Slimsim_slim.Loader
 module Network = Slimsim_sta.Network
-module Engine = Slimsim_sim.Engine
+module Campaign = Slimsim_sim.Campaign
+module Generator = Slimsim_stats.Generator
 module Strategy = Slimsim_sim.Strategy
 module Path = Slimsim_sim.Path
 module Rng = Slimsim_stats.Rng
+
+(* The paper's Chernoff–Hoeffding generator. *)
+let chernoff ~delta ~eps = Generator.create Generator.Chernoff ~delta ~eps
 
 let () =
   (* 1. nominal GPS *)
@@ -43,10 +47,10 @@ let () =
     List.iter
       (fun strat ->
         match
-          Engine.estimate network ~goal ~horizon:300.0 ~strategy:strat
-            ~delta:0.05 ~eps:0.05 ()
+          Campaign.run network ~goal ~horizon:300.0 ~strategy:strat
+            ~generator:(chernoff ~delta:0.05 ~eps:0.05) ()
         with
-        | Ok r -> Fmt.pr "  %-12s %a@." (Strategy.to_string strat) Engine.pp_result r
+        | Ok r -> Fmt.pr "  %-12s %a@." (Strategy.to_string strat) Campaign.pp_result r
         | Error e ->
           Fmt.pr "  %-12s ERROR %s@." (Strategy.to_string strat)
             (Path.error_to_string e))
@@ -73,10 +77,10 @@ let () =
     | Ok r -> Fmt.pr "  ctmc:        %a@." Analysis.pp_report r
     | Error e -> Fmt.pr "  ctmc ERROR: %s@." e);
     (match
-       Engine.estimate network ~goal ~horizon ~strategy:Strategy.Asap
-         ~delta:0.05 ~eps:0.01 ()
+       Campaign.run network ~goal ~horizon ~strategy:Strategy.Asap
+         ~generator:(chernoff ~delta:0.05 ~eps:0.01) ()
      with
-    | Ok r -> Fmt.pr "  sim(asap):   %a@." Engine.pp_result r
+    | Ok r -> Fmt.pr "  sim(asap):   %a@." Campaign.pp_result r
     | Error e -> Fmt.pr "  sim ERROR: %s@." (Path.error_to_string e))
 
 (* 4. launcher, both variants, quick run *)
@@ -97,11 +101,11 @@ let () =
         List.iter
           (fun strat ->
             match
-              Engine.estimate network ~goal ~horizon:60.0 ~strategy:strat
-                ~delta:0.1 ~eps:0.1 ()
+              Campaign.run network ~goal ~horizon:60.0 ~strategy:strat
+                ~generator:(chernoff ~delta:0.1 ~eps:0.1) ()
             with
             | Ok r ->
-              Fmt.pr "  %-12s %a@." (Strategy.to_string strat) Engine.pp_result r
+              Fmt.pr "  %-12s %a@." (Strategy.to_string strat) Campaign.pp_result r
             | Error e ->
               Fmt.pr "  %-12s ERROR %s@." (Strategy.to_string strat)
                 (Path.error_to_string e))

@@ -2,7 +2,6 @@ module Strategy = Slimsim_sim.Strategy
 module Generator = Slimsim_stats.Generator
 module Loader = Slimsim_slim.Loader
 module Pattern = Slimsim_props.Pattern
-module Engine = Slimsim_sim.Engine
 module Campaign = Slimsim_sim.Campaign
 module Path = Slimsim_sim.Path
 
@@ -281,71 +280,6 @@ let check ?workers ?seed ?(generator = Generator.Chernoff)
       | None -> ());
       result)
 
-(* The multilevel front-end: same parse / complement mapping / pre-pass
-   shortcut as [check], but the campaign is the coupled coarse/fine
-   driver of {!Slimsim_sim.Mlmc_run} instead of a single-level one.
-   Sequential by construction (the pair shares scratch state and the
-   allocator is consulted between samples). *)
-let check_mlmc ?seed ?(on_deadlock = `Falsify) ?engine ?on_error ?supervisor
-    ?progress ?max_steps ?max_sim_time ?max_wall_per_path ?(prepass = true)
-    ?levels ?warmup (m : model) ~property ~strategy ~delta ~eps () =
-  let module Mlmc_run = Slimsim_sim.Mlmc_run in
-  let* goal, hold, horizon, complement = parse_pattern_full m property in
-  let config =
-    make_config ?max_steps ?max_sim_time ?max_wall_per_path ~on_deadlock
-      ~horizon ()
-  in
-  match
-    prepass_shortcut ~prepass ~strategy ?hold ~config ~max_wall_per_path m
-      ~goal
-  with
-  | Some shortcut -> Ok (exact_estimate ~complement shortcut)
-  | None -> (
-    match
-      Mlmc_run.create ?seed ~config ?engine ?on_error ?hold ?supervisor
-        ?progress ?levels ?warmup m.Loader.network ~goal ~horizon ~strategy
-        ~delta ~eps ()
-    with
-    | Error e -> Error (Path.error_to_string e)
-    | Ok t ->
-      let result =
-        match Mlmc_run.drive t with
-        | Error e -> Error (Path.error_to_string e)
-        | Ok r ->
-          (* The telescoped CLT interval is not confined to [0,1] the
-             way a Bernoulli estimator's is; clamp before the
-             complement mapping so the report stays a probability. *)
-          let clamp x = Float.min 1.0 (Float.max 0.0 x) in
-          let p = clamp r.Mlmc_run.probability in
-          let lo = clamp r.Mlmc_run.ci_low in
-          let hi = clamp r.Mlmc_run.ci_high in
-          let p, lo, hi =
-            if complement then (1.0 -. p, 1.0 -. hi, 1.0 -. lo)
-            else (p, lo, hi)
-          in
-          Ok
-            {
-              probability = p;
-              ci_low = lo;
-              ci_high = hi;
-              paths = r.Mlmc_run.paths;
-              successes = r.Mlmc_run.sat_paths;
-              deadlock_paths = r.Mlmc_run.deadlock_paths;
-              violated_paths = r.Mlmc_run.violated_paths;
-              errors = r.Mlmc_run.errors;
-              diverged_paths = r.Mlmc_run.diverged_paths;
-              dropped_paths = r.Mlmc_run.dropped_samples;
-              worker_restarts = 0;
-              interrupted = r.Mlmc_run.stopped = Campaign.Interrupted;
-              wall_seconds = r.Mlmc_run.wall_seconds;
-              certificate = None;
-            }
-      in
-      (match progress with
-      | Some pr -> Slimsim_obs.Progress.finish pr
-      | None -> ());
-      result)
-
 (* --- priced-STA cost queries (UPPAAL-SMC style, arXiv:1207.1272) --- *)
 
 module Cost_run = Slimsim_sim.Cost_run
@@ -443,16 +377,20 @@ let check_cost ?workers ?seed ?(generator = Generator.Chernoff)
             no path ever reaches the goal"
            (Pattern.to_string prob))
     | _ -> (
+      let generator = Generator.create generator ~delta ~eps in
+      let cost = (cv, Pattern.query_to_string q) in
       match
-        Cost_run.create ?seed ~config ?engine ?on_error ?hold ?supervisor
-          ?progress m.Loader.network ~goal ~horizon ~strategy ~cost_var:cv
-          ~query:(Pattern.query_to_string q) ~kind:generator ~delta ~eps ()
+        Campaign.create ?workers ?seed ~config ?engine ?on_error ?hold
+          ?supervisor ?progress ~cost m.Loader.network ~goal ~horizon
+          ~strategy ~generator ()
       with
       | Error e -> Error (Path.error_to_string e)
-      | Ok t ->
+      | Ok c ->
         finish_progress
-          (match Cost_run.drive t with
-          | Ok r -> Ok (if dist then Cost_distribution r else Cost_expected r)
+          (match Campaign.drive c with
+          | Ok r ->
+            let r = Cost_run.of_campaign ~delta c r in
+            Ok (if dist then Cost_distribution r else Cost_expected r)
           | Error e -> Error (Path.error_to_string e))))
 
 type exact = {

@@ -7,7 +7,7 @@
     {v
     SLIM text --Loader--> network of stochastic timed automata
     property  --Pattern--> goal expression + time bound
-    (model, property, strategy, generator) --Engine--> estimate
+    (model, property, strategy, generator) --Campaign--> estimate
     (model, property)                      --Ctmc-->   exact probability
     v}
 
@@ -122,36 +122,6 @@ val check :
     reclassify real paths that the certificate counts as successes);
     the [Scripted] strategy disables the pre-pass, since a script may
     abort runs arbitrarily. *)
-
-val check_mlmc :
-  ?seed:int64 ->
-  ?on_deadlock:[ `Error | `Falsify ] ->
-  ?engine:[ `Compiled | `Interpreted ] ->
-  ?on_error:[ `Abort | `Unsat ] ->
-  ?supervisor:Slimsim_sim.Supervisor.t ->
-  ?progress:Slimsim_obs.Progress.t ->
-  ?max_steps:int ->
-  ?max_sim_time:float ->
-  ?max_wall_per_path:float ->
-  ?prepass:bool ->
-  ?levels:int ->
-  ?warmup:int ->
-  model ->
-  property:string ->
-  strategy:Strategy.t ->
-  delta:float ->
-  eps:float ->
-  unit ->
-  (estimate, string) result
-(** Multilevel Monte Carlo estimation ({!Slimsim_sim.Mlmc_run}): coupled
-    coarse/fine path pairs over a horizon-truncation hierarchy of
-    [levels] (default 4) fidelities, allocated by the n_l ∝ sqrt(V_l/C_l)
-    rule so most samples run at cheap levels.  Same property parsing,
-    complement mapping and qualitative pre-pass as {!check}; sequential
-    by construction, so there is no [workers] parameter.  In the
-    returned estimate, [paths] counts simulations (both halves of a
-    pair), [successes] counts [Sat] verdicts across them, and the
-    interval is the telescoped CLT interval clamped to [0,1]. *)
 
 (** {1 Campaigns as values}
 
@@ -280,10 +250,11 @@ val check_cost :
     [c <= C] and runs with an unbounded horizon — the watchdog budgets
     backstop paths whose cost observer stalls under the bound; the
     qualitative pre-pass applies as in {!check}).  [E]/[D] forms run
-    the sequential {!Slimsim_sim.Cost_run} driver: [workers] is
-    ignored, [generator] must not be [Mlmc], and a pre-pass P=0
-    certificate is reported as an error (the conditional expectation is
-    undefined when no path can reach the goal). *)
+    the same campaign with its cost accumulator attached
+    ({!Slimsim_sim.Campaign.create}'s [cost]), under [workers] like any
+    other; a pre-pass P=0 certificate is reported as an error (the
+    conditional expectation is undefined when no path can reach the
+    goal). *)
 
 val pp_cost_outcome : Format.formatter -> cost_outcome -> unit
 (** {!pp_estimate} for probability forms, [Cost_run.pp_result] for

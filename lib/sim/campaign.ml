@@ -7,11 +7,14 @@
    consumed in path order — sequentially or via the buffered balanced
    collection of §III-C — so the verdict stream is a function of
    [(model, property, strategy, generator, seed)] no matter how the
-   campaign is sliced, parked or resumed. *)
+   campaign is sliced, parked or resumed.  A priced query E[c ; phi] /
+   D[c ; phi] is the same loop with a cost accumulator folded over the
+   same verdict stream. *)
 
 module Rng = Slimsim_stats.Rng
 module Generator = Slimsim_stats.Generator
 module Estimator = Slimsim_stats.Estimator
+module Welford = Slimsim_stats.Welford
 module Metrics = Slimsim_obs.Metrics
 module Log = Slimsim_obs.Log
 module Json = Slimsim_obs.Json
@@ -246,7 +249,6 @@ let checkpoint_state gen tally ~seed ~next_path =
     diverged = tally.diverged;
     dropped = tally.dropped;
     leases = [];
-    mlmc = None;
     cost = None;
   }
 
@@ -278,19 +280,121 @@ let write_checkpoint ?robs sup ~file st =
       ]
   end
 
-let save_checkpoint ?robs sup gen tally ~seed ~next_path =
-  match sup.Supervisor.checkpoint with
-  | Some { Supervisor.file; _ } ->
-    write_checkpoint ?robs sup ~file (checkpoint_state gen tally ~seed ~next_path)
-  | None -> ()
+(* ------------------------------------------------------------------ *)
+(* The cost accumulator of a priced query E[c ; phi] / D[c ; phi].
 
-let maybe_checkpoint ?robs sup gen tally ~seed ~next_path =
-  match sup.Supervisor.checkpoint with
-  | Some { Supervisor.file; every } when next_path mod every = 0 ->
-    write_checkpoint ?robs sup ~file (checkpoint_state gen tally ~seed ~next_path)
-  | _ -> ()
+   On a Sat verdict the path generator writes the exact value of the
+   cost variable at the crossing instant into its worker's cell; the
+   collector folds the sat-path costs, in path order, into a Welford
+   accumulator (mean, CLT interval), the observed range, and the 64 log2
+   histogram buckets (Metrics.bucket_of convention) behind the quantile
+   table.  Cost extraction is post-verdict and draws nothing from the
+   RNG, so the verdict stream is the classic campaign's, and the
+   accumulator — persisted as the checkpoint's cost block — is a
+   function of it.
 
-let resume_base sup gen tally ~seed =
+   Stopping: the fixed-size generators (chernoff/hoeffding/gauss) run
+   their planned path count unchanged, so the reachability probability
+   keeps its guarantee.  The sequential chow-robbins rule re-targets the
+   CLT half-width at the cost mean: stop once it is at most eps. *)
+
+(* A sequential rule conditioned on reaching the goal cannot converge
+   if the goal is never reached; give up after this many consecutive
+   paths without a sat verdict instead of spinning forever. *)
+let no_sat_stall_limit = 100_000
+
+(* Cost-specific metric cells, touched only by the collecting thread:
+   the cost-value histogram is what lands the distribution rows in
+   --metrics output. *)
+type cost_obs = {
+  h_value : Metrics.histogram;
+  c_sat : Metrics.counter;
+  c_unsat : Metrics.counter;
+}
+
+let make_cost_obs () =
+  if not (Metrics.enabled ()) then None
+  else
+    let paths verdict =
+      Metrics.counter
+        ~labels:[ ("verdict", verdict) ]
+        "slimsim_cost_paths_total"
+        ~help:"Paths consumed by the cost campaign, by verdict class"
+    in
+    Some
+      {
+        h_value =
+          Metrics.histogram "slimsim_cost_value"
+            ~help:"Cost observer value at the goal crossing, over sat paths";
+        c_sat = paths "sat";
+        c_unsat = paths "unsat";
+      }
+
+type cost = {
+  query : string;  (* canonical query string, pinned into checkpoints *)
+  mutable wf : Welford.t;
+  buckets : int array;
+  mutable cost_min : float;
+  mutable cost_max : float;
+  mutable no_sat_run : int;  (* consecutive consumed paths without a sat *)
+  cobs : cost_obs option;
+}
+
+let new_cost query =
+  {
+    query;
+    wf = Welford.create ();
+    buckets = Array.make Metrics.n_buckets 0;
+    cost_min = infinity;
+    cost_max = neg_infinity;
+    no_sat_run = 0;
+    cobs = make_cost_obs ();
+  }
+
+(* Fold one consumed sample: the cost of a kept sat sample joins the
+   accumulator; anything else extends the run without a sat verdict. *)
+let fold_cost acc consumed sample cost =
+  match (consumed, sample) with
+  | `Fed, Ok (Path.Sat _) ->
+    acc.no_sat_run <- 0;
+    Welford.add acc.wf cost;
+    let b = Metrics.bucket_of cost in
+    acc.buckets.(b) <- acc.buckets.(b) + 1;
+    if cost < acc.cost_min then acc.cost_min <- cost;
+    if cost > acc.cost_max then acc.cost_max <- cost;
+    (match acc.cobs with
+    | Some o ->
+      Metrics.observe o.h_value cost;
+      Metrics.incr o.c_sat
+    | None -> ())
+  | _ -> (
+    acc.no_sat_run <- acc.no_sat_run + 1;
+    match acc.cobs with Some o -> Metrics.incr o.c_unsat | None -> ())
+
+let cost_block acc =
+  let n, mean, m2 = Welford.state acc.wf in
+  {
+    Supervisor.Checkpoint.c_query = acc.query;
+    c_count = n;
+    c_mean = mean;
+    c_m2 = m2;
+    c_min = acc.cost_min;
+    c_max = acc.cost_max;
+    c_buckets = Array.copy acc.buckets;
+  }
+
+let restore_cost acc (c : Supervisor.Checkpoint.cost_state) =
+  acc.wf <- Welford.restore ~n:c.c_count ~mean:c.c_mean ~m2:c.c_m2;
+  Array.blit c.c_buckets 0 acc.buckets 0 (Array.length acc.buckets);
+  acc.cost_min <- c.c_min;
+  acc.cost_max <- c.c_max
+
+(* When [supervisor.resume] is set, restore generator, tallies and cost
+   accumulator from the checkpoint and return the resume cursor.  The
+   checkpoint must match the campaign: same seed, generator and
+   delta/eps, and a cost block exactly when this campaign accumulates a
+   cost, for the same canonical query. *)
+let resume ?cost sup gen tally ~seed =
   if not sup.Supervisor.resume then Ok 0
   else
     match sup.Supervisor.checkpoint with
@@ -301,112 +405,50 @@ let resume_base sup gen tally ~seed =
       else (
         match Supervisor.Checkpoint.load ~file with
         | Error msg -> Error (Path.Model_error ("cannot resume: " ^ msg))
-        | Ok st ->
-          if st.Supervisor.Checkpoint.seed <> seed then
-            Error
-              (Path.Model_error
-                 (Printf.sprintf
-                    "cannot resume: checkpoint was taken with seed %Ld, not %Ld"
-                    st.Supervisor.Checkpoint.seed seed))
-          else if st.kind <> Generator.kind gen then
-            Error
-              (Path.Model_error
-                 "cannot resume: checkpoint was taken with a different \
-                  statistical generator")
-          else if st.delta <> Generator.delta gen || st.eps <> Generator.eps gen
-          then
-            Error
-              (Path.Model_error
-                 "cannot resume: checkpoint was taken with different delta/eps")
-          else if st.mlmc <> None then
-            Error
-              (Path.Model_error
-                 "cannot resume: checkpoint carries multilevel (mlmc) state; \
-                  resume it with --generator mlmc")
-          else if st.cost <> None then
-            Error
-              (Path.Model_error
-                 "cannot resume: checkpoint carries cost-accumulator state; \
-                  resume it with the same cost query")
-          else begin
+        | Ok st -> (
+          let mismatch =
+            if st.Supervisor.Checkpoint.seed <> seed then
+              Some
+                (Printf.sprintf "checkpoint was taken with seed %Ld, not %Ld"
+                   st.Supervisor.Checkpoint.seed seed)
+            else if st.kind <> Generator.kind gen then
+              Some "checkpoint was taken with a different statistical generator"
+            else if st.delta <> Generator.delta gen || st.eps <> Generator.eps gen
+            then Some "checkpoint was taken with different delta/eps"
+            else
+              match (cost, st.cost) with
+              | None, None -> None
+              | None, Some _ ->
+                Some
+                  "checkpoint carries cost-accumulator state; resume it with \
+                   the same cost query"
+              | Some _, None ->
+                Some
+                  "checkpoint has no cost-accumulator state (it was taken by \
+                   a plain reachability campaign)"
+              | Some acc, Some c when c.Supervisor.Checkpoint.c_query <> acc.query
+                ->
+                Some
+                  (Printf.sprintf "checkpoint was taken for query %s, not %s"
+                     c.Supervisor.Checkpoint.c_query acc.query)
+              | Some _, Some _ -> None
+          in
+          match mismatch with
+          | Some m -> Error (Path.Model_error ("cannot resume: " ^ m))
+          | None ->
             Generator.restore gen ~trials:st.trials ~successes:st.successes;
             tally.deadlocks <- st.deadlocks;
             tally.violated <- st.violated;
             tally.errors <- st.errors;
             tally.diverged <- st.diverged;
             tally.dropped <- st.dropped;
-            Ok st.next_path
-          end)
+            (match (cost, st.cost) with
+            | Some acc, Some c -> restore_cost acc c
+            | _ -> ());
+            Ok st.next_path))
 
-(* Resume validation for a priced (cost) campaign: the same base checks,
-   plus the cost block must be present and carry the same canonical
-   query — a cost accumulator is meaningless under a different cost
-   variable or formula.  Returns the resume cursor and the block. *)
-let resume_cost sup gen tally ~seed ~query =
-  if not sup.Supervisor.resume then Ok (0, None)
-  else
-    match sup.Supervisor.checkpoint with
-    | None ->
-      Error (Path.Model_error "resume requested without a checkpoint file")
-    | Some { Supervisor.file; _ } ->
-      if not (Sys.file_exists file) then Ok (0, None)
-      else (
-        match Supervisor.Checkpoint.load ~file with
-        | Error msg -> Error (Path.Model_error ("cannot resume: " ^ msg))
-        | Ok st ->
-          if st.Supervisor.Checkpoint.seed <> seed then
-            Error
-              (Path.Model_error
-                 (Printf.sprintf
-                    "cannot resume: checkpoint was taken with seed %Ld, not %Ld"
-                    st.Supervisor.Checkpoint.seed seed))
-          else if st.kind <> Generator.kind gen then
-            Error
-              (Path.Model_error
-                 "cannot resume: checkpoint was taken with a different \
-                  statistical generator")
-          else if st.delta <> Generator.delta gen || st.eps <> Generator.eps gen
-          then
-            Error
-              (Path.Model_error
-                 "cannot resume: checkpoint was taken with different delta/eps")
-          else if st.mlmc <> None then
-            Error
-              (Path.Model_error
-                 "cannot resume: checkpoint carries multilevel (mlmc) state; \
-                  resume it with --generator mlmc")
-          else (
-            match st.cost with
-            | None ->
-              Error
-                (Path.Model_error
-                   "cannot resume: checkpoint has no cost-accumulator state \
-                    (it was taken by a plain reachability campaign)")
-            | Some c when c.Supervisor.Checkpoint.c_query <> query ->
-              Error
-                (Path.Model_error
-                   (Printf.sprintf
-                      "cannot resume: checkpoint was taken for query %s, not \
-                       %s"
-                      c.Supervisor.Checkpoint.c_query query))
-            | Some c ->
-              Generator.restore gen ~trials:st.trials ~successes:st.successes;
-              tally.deadlocks <- st.deadlocks;
-              tally.violated <- st.violated;
-              tally.errors <- st.errors;
-              tally.diverged <- st.diverged;
-              tally.dropped <- st.dropped;
-              Ok (st.next_path, Some c)))
+let resume_base sup gen tally ~seed = resume sup gen tally ~seed
 
-(* A runner factory: called once per worker (inside that worker's
-   domain, so per-worker scratch is domain-local), yielding the
-   path-id -> outcome function.  The compiled factory stages the
-   network once and shares the immutable tables across workers.
-   Crash recovery and park/resume both lean on this shape: a
-   replacement runner is a fresh factory call, and path [id] always
-   draws from an RNG derived from [(seed, id)] alone, so any path a
-   dying (or parked) worker lost is regenerated bit-identically by its
-   successor. *)
 (* Per-worker observability: the path generator's cell plus a
    path-duration histogram, both labeled [worker="<w>"] and created in
    the worker's own domain (the factory runs there), so every series has
@@ -424,15 +466,39 @@ let worker_obs ~worker =
 
 let timed secs f = match secs with None -> f () | Some h -> Metrics.time h f
 
-let make_runner ~engine ~seed ?(hold = Slimsim_sta.Expr.true_) ?compiled cfg
-    net ~goal ~strategy =
+type outcome = (Path.verdict, Path.error) Result.t
+
+(* A worker's runner, plus the cell its path generator writes the cost
+   of each sat path into (read only by priced campaigns). *)
+type runner = { run : int -> outcome; cost_cell : float ref }
+
+(* A runner factory: called once per worker (inside that worker's
+   domain, so per-worker scratch is domain-local), yielding the
+   runner.  The compiled factory stages the
+   network once and shares the immutable tables across workers.
+   Crash recovery and park/resume both lean on this shape: a
+   replacement runner is a fresh factory call, and path [id] always
+   draws from an RNG derived from [(seed, id)] alone, so any path a
+   dying (or parked) worker lost is regenerated bit-identically by its
+   successor. *)
+
+let make_worker ~engine ~seed ?(hold = Slimsim_sta.Expr.true_) ?compiled
+    ?cost_var cfg net ~goal ~strategy =
+  let cell () =
+    let cost_cell = ref nan in
+    (cost_cell, Option.map (fun v -> (v, cost_cell)) cost_var)
+  in
   match engine with
   | `Interpreted ->
     fun ~worker () ->
       let obs, secs = worker_obs ~worker in
-      fun id ->
+      let cost_cell, cost = cell () in
+      let run id =
         let rng = Rng.for_path ~seed ~path:id in
-        timed secs (fun () -> fst (Path.generate ~hold ?obs net cfg strategy rng ~goal))
+        timed secs (fun () ->
+            fst (Path.generate ~hold ?obs ?cost net cfg strategy rng ~goal))
+      in
+      { run; cost_cell }
   | `Compiled ->
     let c =
       match compiled with
@@ -443,30 +509,24 @@ let make_runner ~engine ~seed ?(hold = Slimsim_sta.Expr.true_) ?compiled cfg
     fun ~worker () ->
       let obs, secs = worker_obs ~worker in
       let s = Slimsim_sta.Compiled.scratch c in
-      fun id ->
+      let cost_cell, cost = cell () in
+      let run id =
         let rng = Rng.for_path ~seed ~path:id in
-        timed secs (fun () -> Path.generate_compiled ?obs c s q cfg strategy rng)
+        timed secs (fun () ->
+            Path.generate_compiled ?obs ?cost c s q cfg strategy rng)
+      in
+      { run; cost_cell }
 
-(* The heartbeat is ticked once per consumed sample; the (mean,
-   half-width) closure is only evaluated when a line actually prints. *)
-let progress_tick progress generator =
-  match progress with
-  | None -> ()
-  | Some p ->
-    let est = Generator.estimator generator in
-    Progress.tick p ~paths:(Estimator.trials est) (fun () ->
-        let lo, hi =
-          Estimator.confidence_interval est ~delta:(Generator.delta generator)
-        in
-        (Estimator.mean est, (hi -. lo) /. 2.0))
+let make_runner ~engine ~seed ?hold ?compiled cfg net ~goal ~strategy =
+  let make = make_worker ~engine ~seed ?hold ?compiled cfg net ~goal ~strategy in
+  fun ~worker () -> (make ~worker ()).run
 
 (* ------------------------------------------------------------------ *)
 (* The campaign value. *)
 
-type outcome = (Path.verdict, Path.error) Result.t
-type runner = int -> outcome
-
-type slot = Sample of outcome | Crashed of string
+(* A sample carries the cost cell's value read right after its path ran;
+   it is meaningful only for a sat path of a priced campaign. *)
+type slot = Sample of outcome * float | Crashed of string
 
 type buffer = {
   mutex : Mutex.t;
@@ -512,6 +572,7 @@ type t = {
   workers : int;
   tally : tally;
   robs : run_obs option;
+  cost : cost option;
   mutable next_path : int;
   mutable exec : exec;
   mutable active_seconds : float;  (* stepping wall time, past slices *)
@@ -521,7 +582,7 @@ type t = {
 
 let create ?(workers = 1) ?(seed = 0x51135113L) ?config ?(engine = `Compiled)
     ?(on_error = `Abort) ?(hold = Slimsim_sta.Expr.true_) ?supervisor ?progress
-    ?compiled net ~goal ~horizon ~strategy ~generator () =
+    ?compiled ?cost net ~goal ~horizon ~strategy ~generator () =
   let sup =
     match supervisor with Some s -> s | None -> Supervisor.default ()
   in
@@ -551,7 +612,8 @@ let create ?(workers = 1) ?(seed = 0x51135113L) ?config ?(engine = `Compiled)
     | _ -> workers
   in
   let tally = new_tally () in
-  match resume_base sup generator tally ~seed with
+  let acc = Option.map (fun (_, query) -> new_cost query) cost in
+  match resume ?cost:acc sup generator tally ~seed with
   | Error e -> Error e
   | Ok base ->
     Ok
@@ -561,10 +623,13 @@ let create ?(workers = 1) ?(seed = 0x51135113L) ?config ?(engine = `Compiled)
         seed;
         generator;
         progress;
-        make = make_runner ~engine ~seed ~hold ?compiled cfg net ~goal ~strategy;
+        make =
+          make_worker ~engine ~seed ~hold ?compiled
+            ?cost_var:(Option.map fst cost) cfg net ~goal ~strategy;
         workers;
         tally;
         robs = make_run_obs ();
+        cost = acc;
         next_path = base;
         exec = Idle;
         active_seconds = 0.0;
@@ -574,16 +639,119 @@ let create ?(workers = 1) ?(seed = 0x51135113L) ?config ?(engine = `Compiled)
 
 let wall_now t = t.active_seconds +. (Unix.gettimeofday () -. t.slice_start)
 
+let state_of t =
+  {
+    (checkpoint_state t.generator t.tally ~seed:t.seed ~next_path:t.next_path)
+    with
+    Supervisor.Checkpoint.cost = Option.map cost_block t.cost;
+  }
+
+let save_checkpoint t =
+  match t.sup.Supervisor.checkpoint with
+  | Some { Supervisor.file; _ } ->
+    write_checkpoint ?robs:t.robs t.sup ~file (state_of t)
+  | None -> ()
+
+let maybe_checkpoint t =
+  match t.sup.Supervisor.checkpoint with
+  | Some { Supervisor.file; every } when t.next_path mod every = 0 ->
+    write_checkpoint ?robs:t.robs t.sup ~file (state_of t)
+  | _ -> ()
+
+(* The heartbeat is ticked once per consumed sample; the (mean,
+   half-width) closure is only evaluated when a line actually prints.
+   A priced campaign reports the running cost mean. *)
+let progress_tick t =
+  match (t.progress, t.cost) with
+  | None, _ -> ()
+  | Some p, None ->
+    let est = Generator.estimator t.generator in
+    Progress.tick p ~paths:(Estimator.trials est) (fun () ->
+        let lo, hi =
+          Estimator.confidence_interval est ~delta:(Generator.delta t.generator)
+        in
+        (Estimator.mean est, (hi -. lo) /. 2.0))
+  | Some p, Some acc ->
+    Progress.tick p ~paths:t.next_path (fun () ->
+        ( Welford.mean acc.wf,
+          Welford.half_width acc.wf ~delta:(Generator.delta t.generator) ))
+
+(* The stopping decision, taken before each sample.  A fixed-size
+   generator runs its planned path count, priced or not; a priced
+   sequential campaign stops on the cost mean's half-width instead of
+   the probability's. *)
+let next_move t =
+  if Supervisor.stop_requested t.sup then `Finish Interrupted
+  else
+    match t.cost with
+    | Some acc when Generator.planned_samples t.generator = None ->
+      if
+        Welford.count acc.wf >= Generator.min_sequential_samples
+        && Welford.half_width acc.wf ~delta:(Generator.delta t.generator)
+           <= Generator.eps t.generator
+      then `Finish Converged
+      else if acc.no_sat_run >= no_sat_stall_limit then
+        `Fail
+          (Path.Model_error
+             (Printf.sprintf
+                "cost query: %d consecutive paths never reached the goal; \
+                 the expected cost conditioned on reaching it cannot \
+                 converge (check the property, or use a fixed-size \
+                 generator to estimate the probability first)"
+                acc.no_sat_run))
+      else `Sample
+    | _ ->
+      if Generator.needs_more t.generator then `Sample else `Finish Converged
+
 let finish_with t stopped =
-  save_checkpoint ?robs:t.robs t.sup t.generator t.tally ~seed:t.seed
-    ~next_path:t.next_path;
+  save_checkpoint t;
   let r = summarize t.generator t.tally ~stopped (wall_now t) in
+  (match t.cost with
+  | None -> ()
+  | Some acc ->
+    let n = Welford.count acc.wf in
+    let lo, hi =
+      Welford.confidence_interval acc.wf ~delta:(Generator.delta t.generator)
+    in
+    Log.emit ~event:"cost_end"
+      [
+        ("query", Json.String acc.query);
+        ( "stopped",
+          Json.String
+            (match stopped with
+            | Converged -> "converged"
+            | Interrupted -> "interrupted") );
+        ("cost_samples", Json.Int n);
+        ("cost_mean", Json.Float (if n = 0 then nan else Welford.mean acc.wf));
+        ("cost_ci_low", Json.Float lo);
+        ("cost_ci_high", Json.Float hi);
+        ("paths", Json.Int r.paths);
+        ("probability", Json.Float r.probability);
+        ("wall_seconds", Json.Float r.wall_seconds);
+      ]);
   t.outcome <- Done r;
   Done r
 
 let fail_with t e =
   t.outcome <- Failed e;
   Failed e
+
+(* Route one sample through the error/divergence policies and fold its
+   cost: what both stepping loops do once its path id is settled.
+   [Some e] asks the caller to abort. *)
+let take t ~path sample cost =
+  match
+    consume ?robs:t.robs ~on_error:t.on_error
+      ~on_divergence:t.sup.Supervisor.on_divergence
+      ~drop_stall_limit:t.sup.Supervisor.drop_stall_limit ~path t.generator
+      t.tally sample
+  with
+  | `Abort e -> Some e
+  | (`Fed | `Dropped) as consumed ->
+    (match t.cost with
+    | Some acc -> fold_cost acc consumed sample cost
+    | None -> ());
+    None
 
 (* --- sequential stepping --- *)
 
@@ -597,7 +765,7 @@ let seq_attempt t e i =
       (match t.sup.Supervisor.chaos with
       | Some inject -> inject ~worker:0 ~path:i
       | None -> ());
-      e.runner i
+      e.runner.run i
     with
     | outcome -> Ok outcome
     | exception exn ->
@@ -630,28 +798,23 @@ let step_seq t quota =
       e
     | Par _ -> assert false
   in
-  let on_divergence = t.sup.Supervisor.on_divergence in
-  let drop_stall_limit = t.sup.Supervisor.drop_stall_limit in
   let rec go budget =
-    if Supervisor.stop_requested t.sup then finish_with t Interrupted
-    else if not (Generator.needs_more t.generator) then finish_with t Converged
-    else if budget <= 0 then Running
-    else
+    match next_move t with
+    | `Finish stopped -> finish_with t stopped
+    | `Fail err -> fail_with t err
+    | `Sample when budget <= 0 -> Running
+    | `Sample -> (
       let i = t.next_path in
       match seq_attempt t e i with
       | Error err -> fail_with t err
       | Ok sample -> (
-        match
-          consume ?robs:t.robs ~on_error:t.on_error ~on_divergence
-            ~drop_stall_limit ~path:i t.generator t.tally sample
-        with
-        | `Abort err -> fail_with t err
-        | `Fed | `Dropped ->
+        match take t ~path:i sample !(e.runner.cost_cell) with
+        | Some err -> fail_with t err
+        | None ->
           t.next_path <- i + 1;
-          maybe_checkpoint ?robs:t.robs t.sup t.generator t.tally ~seed:t.seed
-            ~next_path:t.next_path;
-          progress_tick t.progress t.generator;
-          go (budget - 1))
+          maybe_checkpoint t;
+          progress_tick t;
+          go (budget - 1)))
   in
   go quota
 
@@ -707,9 +870,9 @@ let worker_body t p w start () =
         (match t.sup.Supervisor.chaos with
         | Some inject -> inject ~worker:w ~path:id
         | None -> ());
-        let outcome = runner id in
+        let outcome = runner.run id in
         push_sample ~max_buffer:t.sup.Supervisor.max_buffer ~stop:p.par_stop
-          p.buffers.(w) (Sample outcome);
+          p.buffers.(w) (Sample (outcome, !(runner.cost_cell)));
         go (id + p.k)
       end
     in
@@ -777,8 +940,6 @@ let step_par t quota =
       p
     | Seq _ -> assert false
   in
-  let on_divergence = t.sup.Supervisor.on_divergence in
-  let drop_stall_limit = t.sup.Supervisor.drop_stall_limit in
   (* The collector owns the occupancy histogram: observed under the
      buffer lock just before each pop, it records how far ahead the
      popped worker was running. *)
@@ -796,10 +957,11 @@ let step_par t quota =
     fail_with t e
   in
   let rec collect budget =
-    if Supervisor.stop_requested t.sup then finish Interrupted
-    else if not (Generator.needs_more t.generator) then finish Converged
-    else if budget <= 0 then Running
-    else begin
+    match next_move t with
+    | `Finish stopped -> finish stopped
+    | `Fail e -> fail e
+    | `Sample when budget <= 0 -> Running
+    | `Sample -> (
       let w = p.session mod p.k in
       match pop p.buffers.(w) observe_occupancy with
       | Crashed msg ->
@@ -833,21 +995,16 @@ let step_par t quota =
           spawn_worker t p w t.next_path;
           collect budget
         end
-      | Sample sample -> (
+      | Sample (sample, cost) -> (
         let path = p.base + p.session in
         p.session <- p.session + 1;
         t.next_path <- p.base + p.session;
-        match
-          consume ?robs:t.robs ~on_error:t.on_error ~on_divergence
-            ~drop_stall_limit ~path t.generator t.tally sample
-        with
-        | `Abort e -> fail e
-        | `Fed | `Dropped ->
-          maybe_checkpoint ?robs:t.robs t.sup t.generator t.tally ~seed:t.seed
-            ~next_path:t.next_path;
-          progress_tick t.progress t.generator;
-          collect (budget - 1))
-    end
+        match take t ~path sample cost with
+        | Some e -> fail e
+        | None ->
+          maybe_checkpoint t;
+          progress_tick t;
+          collect (budget - 1)))
   in
   collect quota
 
@@ -873,14 +1030,20 @@ let park t =
     | Par p -> halt_par t p
     | Seq _ -> t.exec <- Idle
     | Idle -> ());
-    save_checkpoint ?robs:t.robs t.sup t.generator t.tally ~seed:t.seed
-      ~next_path:t.next_path
+    save_checkpoint t
 
 let rec drive t =
   match step t with
   | Done r -> Ok r
   | Failed e -> Error e
   | Running -> drive t
+
+let run ?workers ?seed ?config ?engine ?on_error ?hold ?supervisor ?progress
+    net ~goal ~horizon ~strategy ~generator () =
+  Result.bind
+    (create ?workers ?seed ?config ?engine ?on_error ?hold ?supervisor
+       ?progress net ~goal ~horizon ~strategy ~generator ())
+    drive
 
 let status t = t.outcome
 let consumed t = t.next_path
@@ -892,7 +1055,7 @@ let snapshot t =
   in
   (Estimator.mean est, lo, hi, Estimator.trials est)
 
-let generator_kind t = Generator.kind t.generator
+let cost t = Option.map cost_block t.cost
 
 let pp_result ppf r =
   Fmt.pf ppf

@@ -14,8 +14,25 @@
     discarded sample bit-identically.  A campaign stepped, parked and
     resumed at arbitrary points therefore produces the same verdict
     stream, the same estimate and the same checkpoints as one driven to
-    completion in a single call — the property the one-shot
-    {!Engine.run} wrapper and the campaign service both build on. *)
+    completion in a single call — the property the one-shot {!run} and
+    the campaign service both build on.
+
+    Path [i] always draws from an RNG derived from [(seed, i)] and
+    samples are consumed in path order (via buffered round-robin
+    collection in the parallel case, §III-C), so an estimate is a
+    deterministic function of [(model, property, strategy, generator,
+    seed)] — independent of the number of workers, of the engine (the
+    compiled engine, the default, is bit-identical to the interpreted
+    reference), of worker crashes, and of checkpoint/resume.
+
+    A priced query [E[c ; phi]] / [D[c ; phi]] runs the same campaign
+    for [phi] with a cost accumulator attached: the exact value of the
+    cost variable [c] at each sat path's goal crossing is folded, in
+    path order, into a Welford mean/variance, the observed range and 64
+    log2 histogram buckets ({!Slimsim_obs.Metrics.bucket_of}).  Cost
+    extraction draws nothing from the RNG, so the verdict stream is the
+    classic one, and workers, quota stepping, park and checkpoint/resume
+    apply to priced campaigns unchanged. *)
 
 open Slimsim_sta
 
@@ -61,6 +78,7 @@ val create :
   ?supervisor:Supervisor.t ->
   ?progress:Slimsim_obs.Progress.t ->
   ?compiled:Compiled.t ->
+  ?cost:int * string ->
   Network.t ->
   goal:Expr.t ->
   horizon:float ->
@@ -68,14 +86,39 @@ val create :
   generator:Slimsim_stats.Generator.t ->
   unit ->
   (t, Path.error) Result.t
-(** Same parameters and semantics as {!Engine.run} (which is now a
-    [create]-then-{!drive}), with one addition: [compiled] supplies an
-    already-staged network so a resident service can amortize
-    compilation across campaigns (it must be [Compiled.compile] of
-    [net]; ignored by the interpreted engine).  Scripted strategies
-    downgrade to the interpreter on one worker, with a warning when
-    more were requested.  [Error] is returned when [supervisor.resume]
-    is set and the checkpoint file is unreadable or incompatible. *)
+(** [workers = 1] (the default) runs in-process; [workers > 1] spawns
+    that many domains.  [engine] selects the staged compiled core
+    ([`Compiled], the default) or the reference interpreter; [compiled]
+    supplies an already-staged network so a resident service can
+    amortize compilation across campaigns (it must be
+    [Compiled.compile] of [net]; ignored by the interpreted engine).
+    Scripted strategies downgrade to the interpreter on one worker, with
+    a warning when more were requested.  [on_error] decides what a
+    path-level error does: [`Abort] (default) stops the campaign with
+    that error; [`Unsat] counts the path in [result.errors] and feeds it
+    to the generator as a failure.
+
+    [supervisor] carries the robustness policies: divergence policy,
+    crash/restart budget, checkpoint/resume and the cooperative stop
+    flag (see {!Supervisor}).  [progress] installs a throttled stderr
+    heartbeat, ticked once per consumed sample.  Observability (metrics,
+    structured events) is ambient and performs no RNG draws, so the
+    verdict stream is bit-identical with it on or off.
+
+    [cost = (v, query)] attaches the cost accumulator: [v] is the index
+    of the clock or continuous variable to observe (from
+    {!Slimsim_props.Pattern.resolve_cost}) and [query] the canonical
+    query string, pinned into checkpoints.  Fixed-size generators still
+    run their planned path count; the chow-robbins rule stops once the
+    cost mean's CLT half-width is at most [eps] (after
+    {!Slimsim_stats.Generator.min_sequential_samples} sat paths), and
+    fails when 100 000 consecutive paths miss the goal.
+
+    [Error] is returned when [supervisor.resume] is set and the
+    checkpoint file is unreadable or incompatible: a different seed,
+    generator or delta/eps, or a cost block that does not match [cost]
+    (present for a classic campaign, absent or for another query for a
+    priced one). *)
 
 val step : ?quota:int -> t -> status
 (** Consume up to [quota] samples (default: run until the stopping rule
@@ -92,8 +135,27 @@ val park : t -> unit
     resumes it bit-identically.  No-op on finished campaigns. *)
 
 val drive : t -> (result, Path.error) Result.t
-(** Step to completion: the one-shot behaviour of the historical
-    engine.  An [Interrupted] stop reason is an [Ok] result. *)
+(** Step to completion.  An [Interrupted] stop reason is an [Ok]
+    result. *)
+
+val run :
+  ?workers:int ->
+  ?seed:int64 ->
+  ?config:Path.config ->
+  ?engine:[ `Compiled | `Interpreted ] ->
+  ?on_error:[ `Abort | `Unsat ] ->
+  ?hold:Expr.t ->
+  ?supervisor:Supervisor.t ->
+  ?progress:Slimsim_obs.Progress.t ->
+  Network.t ->
+  goal:Expr.t ->
+  horizon:float ->
+  strategy:Strategy.t ->
+  generator:Slimsim_stats.Generator.t ->
+  unit ->
+  (result, Path.error) Result.t
+(** {!create} then {!drive}: a one-shot reachability estimate.  The
+    caller finishes [progress]. *)
 
 val status : t -> status
 (** Last known status; never simulates. *)
@@ -105,7 +167,10 @@ val snapshot : t -> float * float * float * int
 (** [(mean, ci_low, ci_high, trials)] of the running estimate — safe to
     call between steps (the collector is not running). *)
 
-val generator_kind : t -> Slimsim_stats.Generator.kind
+val cost : t -> Supervisor.Checkpoint.cost_state option
+(** The cost accumulator of a priced campaign, as its checkpoint block
+    (a copy); [None] for a classic one.  {!Cost_run.of_campaign} turns
+    it into a result. *)
 
 val pp_result : Format.formatter -> result -> unit
 
@@ -179,20 +244,8 @@ val resume_base :
   (int, Path.error) Result.t
 (** When [supervisor.resume] is set, restore generator and tallies from
     the checkpoint file and return the resume cursor (0 on a fresh
-    start; [Error] on an incompatible or unreadable checkpoint). *)
-
-val resume_cost :
-  Supervisor.t ->
-  Slimsim_stats.Generator.t ->
-  tally ->
-  seed:int64 ->
-  query:string ->
-  (int * Supervisor.Checkpoint.cost_state option, Path.error) Result.t
-(** {!resume_base} for a priced campaign: the same base checks, plus
-    the checkpoint must carry a cost block for the same canonical
-    [query] (cross-resume between classic, multilevel and cost
-    checkpoints is rejected).  Returns the cursor and the block to
-    restore the cost accumulator from ([None] on a fresh start). *)
+    start; [Error] on an incompatible or unreadable checkpoint,
+    including one that carries a cost block). *)
 
 val make_runner :
   engine:[ `Compiled | `Interpreted ] ->

@@ -1,49 +1,11 @@
-(* The priced-campaign driver: the simulation-side half of the cost
-   queries E[c ; <> [0,u] goal] and D[c ; <> [0,u] goal].
+(* The result of a priced query E[c ; phi] / D[c ; phi] and its
+   rendering.  The campaign itself — verdict stream, cost fold, stopping
+   rule, checkpointing — is a {!Campaign} created with [~cost]; this
+   module turns its reachability result and cost accumulator into the
+   user-facing summary. *)
 
-   Each path is a classic full-horizon reachability path — same per-path
-   RNG streams (Rng.for_path), same step loop, same error/divergence
-   policies through Campaign.consume — plus a cost observer: on a Sat
-   verdict, Path hands back the exact value of the designated clock or
-   continuous variable at the crossing instant (step-start value plus
-   rate × dt, the linear-advance rule).  The driver folds the sat-path
-   costs into a Welford accumulator (mean, CLT interval), tracks the
-   observed range, and fills the 64 log2 histogram buckets
-   (Metrics.bucket_of convention) that back the quantile table and the
-   distribution rendering.
-
-   Stopping: the fixed-size generators (chernoff/hoeffding/gauss) run
-   their planned path count unchanged — the reachability probability
-   comes out with its usual guarantee, and the cost interval reflects
-   however many sat paths that bought.  The sequential chow-robbins rule
-   re-targets the CLT half-width at the *cost mean* instead of the
-   probability: stop once the Welford half-width is at most eps (with
-   the same minimum sample count as the Bernoulli rule).
-
-   Determinism: the verdict stream is the classic campaign's stream for
-   the same (model, property, strategy, seed) — cost extraction runs
-   after each verdict is decided and draws nothing from the RNG — and
-   the accumulator state is a fold over it in path order, so the whole
-   result is a function of (model, query, strategy, seed) and
-   checkpoint/resume is bit-identical. *)
-
-module Rng = Slimsim_stats.Rng
-module Generator = Slimsim_stats.Generator
 module Welford = Slimsim_stats.Welford
 module Metrics = Slimsim_obs.Metrics
-module Log = Slimsim_obs.Log
-module Json = Slimsim_obs.Json
-module Progress = Slimsim_obs.Progress
-
-(* Minimum sat-path count before the sequential rule may stop — the
-   CLT needs some samples before its half-width means anything; mirrors
-   the Bernoulli generators' minimum. *)
-let min_sequential_samples = 100
-
-(* A sequential rule conditioned on reaching the goal cannot converge
-   if the goal is never reached; give up after this many consecutive
-   paths without a sat verdict instead of spinning forever. *)
-let no_sat_stall_limit = 100_000
 
 type result = {
   query : string;  (* canonical query string *)
@@ -58,329 +20,24 @@ type result = {
   cost_buckets : int array;  (* Metrics.bucket_of convention *)
 }
 
-type status = Running | Done of result | Failed of Path.error
-
-(* Cost-specific observability, single-writer (the driver is
-   sequential): the cost-value histogram is what lands the distribution
-   rows in --metrics output. *)
-type cost_obs = {
-  h_value : Metrics.histogram;
-  c_sat : Metrics.counter;
-  c_unsat : Metrics.counter;
-}
-
-let make_cost_obs () =
-  if not (Metrics.enabled ()) then None
-  else
-    Some
-      {
-        h_value =
-          Metrics.histogram "slimsim_cost_value"
-            ~help:"Cost observer value at the goal crossing, over sat paths";
-        c_sat =
-          Metrics.counter
-            ~labels:[ ("verdict", "sat") ]
-            "slimsim_cost_paths_total"
-            ~help:"Paths consumed by the cost campaign, by verdict class";
-        c_unsat =
-          Metrics.counter
-            ~labels:[ ("verdict", "unsat") ]
-            "slimsim_cost_paths_total"
-            ~help:"Paths consumed by the cost campaign, by verdict class";
-      }
-
-type t = {
-  sup : Supervisor.t;
-  on_error : [ `Abort | `Unsat ];
-  seed : int64;
-  query : string;
-  gen : Generator.t;
-  tally : Campaign.tally;
-  robs : Campaign.run_obs option;
-  cobs : cost_obs option;
-  progress : Progress.t option;
-  runner : Rng.t -> (Path.verdict, Path.error) Result.t;
-  cost_cell : float ref;
-  mutable wf : Welford.t;
-  buckets : int array;
-  mutable cost_min : float;
-  mutable cost_max : float;
-  mutable cursor : int;
-  mutable no_sat_run : int;
-  mutable active_seconds : float;
-  mutable slice_start : float;
-  mutable outcome : status;
-}
-
-let consumed t = t.cursor
-
-let checkpoint_state t =
-  let base =
-    Campaign.checkpoint_state t.gen t.tally ~seed:t.seed ~next_path:t.cursor
-  in
-  let n, mean, m2 = Welford.state t.wf in
-  {
-    base with
-    Supervisor.Checkpoint.cost =
-      Some
-        {
-          Supervisor.Checkpoint.c_query = t.query;
-          c_count = n;
-          c_mean = mean;
-          c_m2 = m2;
-          c_min = t.cost_min;
-          c_max = t.cost_max;
-          c_buckets = Array.copy t.buckets;
-        };
-  }
-
-let save_checkpoint t =
-  match t.sup.Supervisor.checkpoint with
-  | Some { Supervisor.file; _ } ->
-    Campaign.write_checkpoint ?robs:t.robs t.sup ~file (checkpoint_state t)
-  | None -> ()
-
-let maybe_checkpoint t =
-  match t.sup.Supervisor.checkpoint with
-  | Some { Supervisor.file; every } when t.cursor mod every = 0 ->
-    Campaign.write_checkpoint ?robs:t.robs t.sup ~file (checkpoint_state t)
-  | _ -> ()
-
-let sequential t =
-  match Generator.kind t.gen with
-  | Generator.Chernoff | Generator.Hoeffding | Generator.Gauss -> false
-  | Generator.Chow_robbins | Generator.Mlmc -> true
-
-(* Fixed-size generators keep their planned path count (the probability
-   estimate keeps its guarantee); the sequential rule stops on the cost
-   mean's CLT half-width. *)
-let converged t =
-  if sequential t then
-    Welford.count t.wf >= min_sequential_samples
-    && Welford.half_width t.wf ~delta:(Generator.delta t.gen)
-       <= Generator.eps t.gen
-  else not (Generator.needs_more t.gen)
-
-let wall_now t = t.active_seconds +. (Unix.gettimeofday () -. t.slice_start)
-
-let summarize t stopped =
-  let reach = Campaign.summarize t.gen t.tally ~stopped (wall_now t) in
-  let delta = Generator.delta t.gen in
-  let lo, hi = Welford.confidence_interval t.wf ~delta in
-  let n = Welford.count t.wf in
-  let r =
+let of_campaign ~delta c reach =
+  match Campaign.cost c with
+  | None -> invalid_arg "Cost_run.of_campaign: not a priced campaign"
+  | Some acc ->
+    let open Supervisor.Checkpoint in
+    let wf = Welford.restore ~n:acc.c_count ~mean:acc.c_mean ~m2:acc.c_m2 in
+    let lo, hi = Welford.confidence_interval wf ~delta in
     {
-      query = t.query;
+      query = acc.c_query;
       reach;
-      cost_samples = n;
-      cost_mean = (if n = 0 then nan else Welford.mean t.wf);
+      cost_samples = acc.c_count;
+      cost_mean = (if acc.c_count = 0 then nan else acc.c_mean);
       cost_ci_low = lo;
       cost_ci_high = hi;
-      cost_min = t.cost_min;
-      cost_max = t.cost_max;
-      cost_buckets = Array.copy t.buckets;
+      cost_min = acc.c_min;
+      cost_max = acc.c_max;
+      cost_buckets = acc.c_buckets;
     }
-  in
-  Log.emit ~event:"cost_end"
-    [
-      ("query", Json.String t.query);
-      ( "stopped",
-        Json.String
-          (match stopped with
-          | Campaign.Converged -> "converged"
-          | Campaign.Interrupted -> "interrupted") );
-      ("cost_samples", Json.Int n);
-      ("cost_mean", Json.Float r.cost_mean);
-      ("cost_ci_low", Json.Float r.cost_ci_low);
-      ("cost_ci_high", Json.Float r.cost_ci_high);
-      ("paths", Json.Int reach.Campaign.paths);
-      ("probability", Json.Float reach.Campaign.probability);
-      ("wall_seconds", Json.Float reach.Campaign.wall_seconds);
-    ];
-  r
-
-let finish_with t stopped =
-  save_checkpoint t;
-  let r = summarize t stopped in
-  t.outcome <- Done r;
-  Done r
-
-let fail_with t e =
-  t.outcome <- Failed e;
-  Failed e
-
-(* One path: run it, route the verdict through the shared policy code
-   (which also feeds the Bernoulli generator), then fold the cost of a
-   kept sat sample into the accumulator. *)
-let sample t =
-  let id = t.cursor in
-  let rng = Rng.for_path ~seed:t.seed ~path:id in
-  t.cost_cell := nan;
-  let outcome = t.runner rng in
-  let sat_cost =
-    match outcome with Ok (Path.Sat _) -> Some !(t.cost_cell) | _ -> None
-  in
-  match
-    Campaign.consume ?robs:t.robs ~on_error:t.on_error
-      ~on_divergence:t.sup.Supervisor.on_divergence
-      ~drop_stall_limit:t.sup.Supervisor.drop_stall_limit ~path:id t.gen
-      t.tally outcome
-  with
-  | `Abort e -> `Abort e
-  | (`Fed | `Dropped) as r ->
-    t.cursor <- id + 1;
-    (match (r, sat_cost) with
-    | `Fed, Some cost ->
-      t.no_sat_run <- 0;
-      Welford.add t.wf cost;
-      let b = Metrics.bucket_of cost in
-      t.buckets.(b) <- t.buckets.(b) + 1;
-      if cost < t.cost_min then t.cost_min <- cost;
-      if cost > t.cost_max then t.cost_max <- cost;
-      (match t.cobs with
-      | Some o ->
-        Metrics.observe o.h_value cost;
-        Metrics.incr o.c_sat
-      | None -> ())
-    | _ ->
-      t.no_sat_run <- t.no_sat_run + 1;
-      (match t.cobs with Some o -> Metrics.incr o.c_unsat | None -> ()));
-    r
-
-let progress_tick t =
-  match t.progress with
-  | None -> ()
-  | Some p ->
-    Progress.tick p ~paths:t.cursor (fun () ->
-        ( Welford.mean t.wf,
-          Welford.half_width t.wf ~delta:(Generator.delta t.gen) ))
-
-let step ?(quota = max_int) t =
-  match t.outcome with
-  | (Done _ | Failed _) as s -> s
-  | Running ->
-    t.slice_start <- Unix.gettimeofday ();
-    let rec go budget =
-      if Supervisor.stop_requested t.sup then finish_with t Campaign.Interrupted
-      else if converged t then finish_with t Campaign.Converged
-      else if sequential t && t.no_sat_run >= no_sat_stall_limit then
-        fail_with t
-          (Path.Model_error
-             (Printf.sprintf
-                "cost query: %d consecutive paths never reached the goal; \
-                 the expected cost conditioned on reaching it cannot \
-                 converge (check the property, or use a fixed-size \
-                 generator to estimate the probability first)"
-                t.no_sat_run))
-      else if budget <= 0 then Running
-      else
-        match sample t with
-        | `Abort e -> fail_with t e
-        | `Fed | `Dropped ->
-          maybe_checkpoint t;
-          progress_tick t;
-          go (budget - 1)
-    in
-    let s = go quota in
-    t.active_seconds <-
-      t.active_seconds +. (Unix.gettimeofday () -. t.slice_start);
-    s
-
-let rec drive t =
-  match step t with
-  | Done r -> Ok r
-  | Failed e -> Error e
-  | Running -> drive t
-
-let status t = t.outcome
-
-let create ?(seed = 0x51135113L) ?config ?(engine = `Compiled)
-    ?(on_error = `Abort) ?(hold = Slimsim_sta.Expr.true_) ?supervisor ?progress
-    ?compiled net ~goal ~horizon ~strategy ~cost_var ~query ~kind ~delta ~eps
-    () =
-  let sup =
-    match supervisor with Some s -> s | None -> Supervisor.default ()
-  in
-  match kind with
-  | Generator.Mlmc ->
-    Error
-      (Path.Model_error
-         "cost queries: the multilevel generator estimates a probability \
-          over coupled horizons, not a cost; use a fixed-size or \
-          chow-robbins generator")
-  | _ ->
-    let cfg =
-      match config with
-      | Some c -> { c with Path.horizon }
-      | None -> Path.default_config ~horizon
-    in
-    let obs =
-      if Metrics.enabled () then Some (Path.obs_cell ~worker:0) else None
-    in
-    let cost_cell = ref nan in
-    (* Scripted strategies observe immutable states: downgrade to the
-       interpreter, like the classic campaign does. *)
-    let engine =
-      match strategy with Strategy.Scripted _ -> `Interpreted | _ -> engine
-    in
-    let runner =
-      match engine with
-      | `Interpreted ->
-        fun rng ->
-          fst
-            (Path.generate ~hold ?obs ~cost:(cost_var, cost_cell) net cfg
-               strategy rng ~goal)
-      | `Compiled ->
-        let c =
-          match compiled with
-          | Some c -> c
-          | None -> Slimsim_sta.Compiled.compile net
-        in
-        let q = Path.compile_query ~hold c ~goal in
-        let s = Slimsim_sta.Compiled.scratch c in
-        fun rng ->
-          Path.generate_compiled ?obs ~cost:(cost_var, cost_cell) c s q cfg
-            strategy rng
-    in
-    let gen = Generator.create kind ~delta ~eps in
-    let tally = Campaign.new_tally () in
-    (match Campaign.resume_cost sup gen tally ~seed ~query with
-    | Error e -> Error e
-    | Ok (cursor, restored) ->
-      let t =
-        {
-          sup;
-          on_error;
-          seed;
-          query;
-          gen;
-          tally;
-          robs = Campaign.make_run_obs ();
-          cobs = make_cost_obs ();
-          progress;
-          runner;
-          cost_cell;
-          wf = Welford.create ();
-          buckets = Array.make Metrics.n_buckets 0;
-          cost_min = infinity;
-          cost_max = neg_infinity;
-          cursor;
-          no_sat_run = 0;
-          active_seconds = 0.0;
-          slice_start = 0.0;
-          outcome = Running;
-        }
-      in
-      (match restored with
-      | None -> ()
-      | Some c ->
-        t.wf <-
-          Welford.restore ~n:c.Supervisor.Checkpoint.c_count ~mean:c.c_mean
-            ~m2:c.c_m2;
-        Array.blit c.c_buckets 0 t.buckets 0 (Array.length t.buckets);
-        t.cost_min <- c.c_min;
-        t.cost_max <- c.c_max);
-      Ok t)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering.  The quantile table and histogram are deterministic

@@ -1,32 +1,13 @@
-(** The priced-campaign driver: expected cost and empirical cost
-    distributions over reachability paths.
+(** The result of a priced query — expected cost and empirical cost
+    distribution over reachability paths — and its rendering.
 
-    For a query [E[c ; phi]] or [D[c ; phi]] the driver runs the same
-    verdict stream as the classic campaign for [phi] — same per-path
-    RNG streams, same step loop, same error/divergence policies — and
-    additionally observes the exact value of the cost variable [c] (a
-    clock or continuous variable with piecewise-constant derivative) at
-    the instant each sat path first reaches the goal.  The sat-path
-    costs feed a Welford accumulator (mean and CLT confidence interval
-    at the generator's [delta]) and a 64-bucket log2 histogram (the
+    For a query [E[c ; phi]] or [D[c ; phi]], a {!Campaign} created with
+    [~cost] runs the classic verdict stream for [phi] and folds the
+    exact value of the cost variable [c] at each sat path's goal
+    crossing into a Welford accumulator (mean and CLT interval at the
+    generator's [delta]) and a 64-bucket log2 histogram (the
     {!Slimsim_obs.Metrics.bucket_of} convention) backing the quantile
-    table and the distribution rendering.
-
-    Stopping: fixed-size generators (chernoff / hoeffding / gauss) run
-    their planned path count, so the reachability probability keeps its
-    usual guarantee and the cost interval reflects the sat paths that
-    bought.  The chow-robbins rule re-targets the CLT half-width at the
-    cost mean: stop once it is at most [eps] (after a minimum sample
-    count).  The multilevel generator is rejected — it estimates a
-    probability over coupled horizons, not a cost.
-
-    Determinism: cost extraction runs after each verdict is decided and
-    performs no RNG draws, so the verdict stream is bit-identical to
-    the classic campaign's for the same [(model, property, strategy,
-    seed)]; the cost accumulator is a fold over it in path order, and
-    checkpoint / resume reproduce both exactly. *)
-
-open Slimsim_sta
+    table and the distribution rendering. *)
 
 type result = {
   query : string;  (** canonical query string, as [Pattern.query_to_string] *)
@@ -43,53 +24,11 @@ type result = {
           convention ([Metrics.n_buckets] entries) *)
 }
 
-type status = Running | Done of result | Failed of Path.error
-
-type t
-
-val create :
-  ?seed:int64 ->
-  ?config:Path.config ->
-  ?engine:[ `Compiled | `Interpreted ] ->
-  ?on_error:[ `Abort | `Unsat ] ->
-  ?hold:Expr.t ->
-  ?supervisor:Supervisor.t ->
-  ?progress:Slimsim_obs.Progress.t ->
-  ?compiled:Compiled.t ->
-  Network.t ->
-  goal:Expr.t ->
-  horizon:float ->
-  strategy:Strategy.t ->
-  cost_var:int ->
-  query:string ->
-  kind:Slimsim_stats.Generator.kind ->
-  delta:float ->
-  eps:float ->
-  unit ->
-  (t, Path.error) Result.t
-(** Same parameters as {!Campaign.create}, plus [cost_var] (the index
-    of the clock or continuous variable to observe, from
-    {!Slimsim_props.Pattern.resolve_cost}) and [query] (the canonical
-    query string, pinned into checkpoints so a resume with a different
-    query is rejected).  Scripted strategies downgrade to the
-    interpreter; [kind = Mlmc] is an error.  [Error] is returned when
-    [supervisor.resume] is set and the checkpoint is unreadable,
-    incompatible, or was taken for a different query. *)
-
-val step : ?quota:int -> t -> status
-(** Consume up to [quota] samples in deterministic path order.
-    [Running] means the quota ran out.  Once [Done] or [Failed],
-    further calls return the same status without simulating. *)
-
-val drive : t -> (result, Path.error) Result.t
-(** Step to completion.  An [Interrupted] stop reason is an [Ok]
-    result. *)
-
-val status : t -> status
-(** Last known status; never simulates. *)
-
-val consumed : t -> int
-(** Paths consumed so far (the cursor the next sample is drawn at). *)
+val of_campaign : delta:float -> Campaign.t -> Campaign.result -> result
+(** The result of a priced campaign (one created with [~cost]) from its
+    reachability result and cost accumulator; the cost interval is the
+    CLT interval at [delta], the generator's.  Raises
+    [Invalid_argument] on a classic campaign. *)
 
 val pp_result : Format.formatter -> result -> unit
 (** One-line summary: cost mean and interval, then the underlying

@@ -67,22 +67,6 @@ let divergence_policy_of_string = function
   | s -> Error (Printf.sprintf "unknown divergence policy %S" s)
 
 module Checkpoint = struct
-  (* One level of a multilevel (mlmc) campaign: its own path cursor plus
-     the full Welford accumulator state of the telescoped term. *)
-  type mlmc_level = {
-    l_next_path : int;
-    l_count : int;
-    l_mean : float;
-    l_m2 : float;
-  }
-
-  type mlmc_state = {
-    ml_levels : mlmc_level array;
-    ml_paths : int;  (* simulations run; a coupled pair counts both halves *)
-    ml_sat : int;
-    ml_cost : float;  (* model cost spent, full-resolution-path units *)
-  }
-
   (* A cost campaign's accumulator: the Welford state of the sat-path
      costs, the observed range, and the 64 log2 histogram buckets
      ([Slimsim_obs.Metrics.bucket_of] convention) that back the quantile
@@ -112,12 +96,9 @@ module Checkpoint = struct
     diverged : int;
     dropped : int;
     leases : (int * int * int) list;
-    mlmc : mlmc_state option;
+    cost : cost_state option;
         (* trailing optional block: absent for classic campaigns, so
            files they write stay byte-identical to earlier builds *)
-    cost : cost_state option;
-        (* the other optional trailing block; mutually exclusive with
-           [mlmc] — a campaign is multilevel or priced, never both *)
   }
 
   let magic = "slimsim-checkpoint"
@@ -149,16 +130,6 @@ module Checkpoint = struct
         List.iter
           (fun (id, lo, hi) -> Printf.fprintf oc "lease %d %d %d\n" id lo hi)
           st.leases;
-        (match st.mlmc with
-        | None -> ()
-        | Some m ->
-          Printf.fprintf oc "mlmc %d %d %d %h\n" (Array.length m.ml_levels)
-            m.ml_paths m.ml_sat m.ml_cost;
-          Array.iter
-            (fun l ->
-              Printf.fprintf oc "mlmc-level %d %d %h %h\n" l.l_next_path
-                l.l_count l.l_mean l.l_m2)
-            m.ml_levels);
         match st.cost with
         | None -> ()
         | Some c ->
@@ -233,31 +204,11 @@ module Checkpoint = struct
                       Scanf.sscanf (line ()) "lease %d %d %d" (fun a b c ->
                           (a, b, c)))
                 in
-                (* The mlmc / cost blocks are optional and trailing: EOF
-                   here is a classic checkpoint, not a truncated one.
-                   The first word of the trailing line says which block
-                   follows; they are mutually exclusive. *)
-                let mlmc, cost =
+                (* The cost block is optional and trailing: EOF here is
+                   a classic checkpoint, not a truncated one. *)
+                let cost =
                   match (try Some (line ()) with End_of_file -> None) with
-                  | None -> (None, None)
-                  | Some l when String.length l > 5 && String.sub l 0 5 = "mlmc " ->
-                    let n_levels, ml_paths, ml_sat, ml_cost =
-                      Scanf.sscanf l "mlmc %d %d %d %h" (fun a b c d ->
-                          (a, b, c, d))
-                    in
-                    if n_levels <= 0 then failwith "bad mlmc level count";
-                    let ml_levels =
-                      Array.init n_levels (fun _ ->
-                          Scanf.sscanf (line ()) "mlmc-level %d %d %h %h"
-                            (fun a b c d ->
-                              {
-                                l_next_path = a;
-                                l_count = b;
-                                l_mean = c;
-                                l_m2 = d;
-                              }))
-                    in
-                    (Some { ml_levels; ml_paths; ml_sat; ml_cost }, None)
+                  | None -> None
                   | Some l when String.length l > 5 && String.sub l 0 5 = "cost " ->
                     let c_count, c_mean, c_m2, c_min, c_max =
                       Scanf.sscanf l "cost %d %h %h %h %h" (fun a b c d e ->
@@ -290,21 +241,8 @@ module Checkpoint = struct
                              | None -> failwith "malformed cost bucket count")
                       |> Array.of_list
                     in
-                    (None, Some { c_query; c_count; c_mean; c_m2; c_min; c_max; c_buckets })
+                    Some { c_query; c_count; c_mean; c_m2; c_min; c_max; c_buckets }
                   | Some _ -> failwith "unrecognized trailing checkpoint block"
-                in
-                let mlmc_consistent =
-                  match mlmc with
-                  | None -> true
-                  | Some m ->
-                    m.ml_paths >= 0 && m.ml_sat >= 0
-                    && Float.is_finite m.ml_cost
-                    && m.ml_cost >= 0.0
-                    && Array.for_all
-                         (fun l ->
-                           l.l_next_path >= 0 && l.l_count >= 0
-                           && l.l_m2 >= 0.0)
-                         m.ml_levels
                 in
                 let cost_consistent =
                   match cost with
@@ -326,7 +264,7 @@ module Checkpoint = struct
                   || next_path < 0 || deadlocks < 0 || violated < 0
                   || errors < 0 || diverged < 0 || dropped < 0
                   || List.exists (fun (_, lo, hi) -> lo < 0 || hi < lo) leases
-                  || not mlmc_consistent || not cost_consistent
+                  || not cost_consistent
                 then Error "inconsistent checkpoint counters"
                 else
                   Ok
@@ -344,7 +282,6 @@ module Checkpoint = struct
                       diverged;
                       dropped;
                       leases;
-                      mlmc;
                       cost;
                     }
               end

@@ -2,7 +2,7 @@
     SMC run — what to do with runaway paths, how to survive worker
     crashes, how to persist progress, and how to stop gracefully.
 
-    A supervisor is plain data consulted by {!Engine.run}; it owns no
+    A supervisor is plain data consulted by {!Campaign}; it owns no
     threads of its own.  The default supervisor preserves the historical
     behaviour: divergent paths abort the campaign, crashes are retried a
     few times, nothing is checkpointed, and no stop flag is observed. *)
@@ -104,24 +104,6 @@ val divergence_policy_of_string :
     campaign continues to the same verdict stream and the same final
     estimate as an uninterrupted one. *)
 module Checkpoint : sig
-  type mlmc_level = {
-    l_next_path : int;  (** first path id not yet consumed at this level *)
-    l_count : int;
-    l_mean : float;
-    l_m2 : float;
-        (** the level's full Welford accumulator state; [%h] hex floats
-            on disk, so a resumed multilevel campaign allocates and
-            stops bit-identically *)
-  }
-
-  type mlmc_state = {
-    ml_levels : mlmc_level array;
-    ml_paths : int;
-        (** simulations run so far; a coupled pair counts both halves *)
-    ml_sat : int;  (** [Sat] verdicts seen (diagnostic) *)
-    ml_cost : float;  (** model cost spent, full-resolution-path units *)
-  }
-
   type cost_state = {
     c_query : string;
         (** canonical form of the cost query; a resume under a different
@@ -158,15 +140,11 @@ module Checkpoint : sig
             ranges from [next_path], regenerating any in-flight work
             bit-identically from the per-path seeds — so single-process
             campaigns write [[]]. *)
-    mlmc : mlmc_state option;
-        (** per-level state of a multilevel (mlmc) campaign.  Written as
-            a trailing optional block, so classic campaigns produce
+    cost : cost_state option;
+        (** accumulator of a priced (E[cost]/D[cost]) campaign.  Written
+            as a trailing optional block, so classic campaigns produce
             byte-identical files to earlier builds and their old
             checkpoints still load. *)
-    cost : cost_state option;
-        (** accumulator of a priced (E[cost]/D[cost]) campaign; the
-            other trailing optional block, mutually exclusive with
-            [mlmc].  Classic files stay byte-identical. *)
   }
 
   val magic : string

@@ -1,6 +1,6 @@
-type kind = Chernoff | Hoeffding | Gauss | Chow_robbins | Mlmc
+type kind = Chernoff | Hoeffding | Gauss | Chow_robbins
 
-let all_kinds = [ Chernoff; Hoeffding; Gauss; Chow_robbins; Mlmc ]
+let all_kinds = [ Chernoff; Hoeffding; Gauss; Chow_robbins ]
 
 type t = {
   kind : kind;
@@ -21,11 +21,7 @@ let create kind ~delta ~eps =
     | Chernoff -> Some (Bound.chernoff_samples ~delta ~eps)
     | Hoeffding -> Some (Bound.hoeffding_samples ~delta ~eps)
     | Gauss -> Some (Bound.gauss_samples ~delta ~eps)
-    (* The multilevel structure lives in the simulation layer (coupled
-       coarse/fine paths, per-level accumulators); at the generator level
-       a degenerate single-level Mlmc is exactly the sequential CLT
-       stopping rule. *)
-    | Chow_robbins | Mlmc -> None
+    | Chow_robbins -> None
   in
   {
     kind;
@@ -72,14 +68,12 @@ let kind_to_string = function
   | Hoeffding -> "hoeffding"
   | Gauss -> "gauss"
   | Chow_robbins -> "chow-robbins"
-  | Mlmc -> "mlmc"
 
 let kind_of_string = function
   | "chernoff" -> Ok Chernoff
   | "hoeffding" -> Ok Hoeffding
   | "gauss" -> Ok Gauss
   | "chow-robbins" | "chow_robbins" -> Ok Chow_robbins
-  | "mlmc" -> Ok Mlmc
   | s ->
     Error
       (Printf.sprintf "unknown generator %S (expected one of: %s)" s

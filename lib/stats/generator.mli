@@ -14,11 +14,6 @@ type kind =
   | Chow_robbins
       (** sequential: stop once the CLT interval half-width is at most
           eps (with a small minimum sample count) *)
-  | Mlmc
-      (** multilevel Monte Carlo: coupled coarse/fine path pairs with
-          per-level accumulators (see {!Mlmc} and the simulation-layer
-          driver).  As a plain generator — the degenerate single-level
-          case — it is the sequential CLT rule. *)
 
 type t
 
@@ -26,6 +21,10 @@ val all_kinds : kind list
 (** Every generator kind, in the order they are documented. *)
 
 val create : kind -> delta:float -> eps:float -> t
+
+val min_sequential_samples : int
+(** The minimum sample count before a sequential CLT rule may stop:
+    below it the interval half-width means nothing. *)
 
 val planned_samples : t -> int option
 (** [Some n] for fixed-size generators, [None] for sequential ones. *)

@@ -19,19 +19,6 @@ let for_path ~seed ~path =
   let h = mix (Int64.logxor (mix seed) (Int64.of_int (path + 1))) in
   create h
 
-let for_path_level ~seed ~level ~path =
-  if level < 0 then invalid_arg "Rng.for_path_level: level must be >= 0";
-  if level = 0 then for_path ~seed ~path
-  else
-    (* Fold the level into the derivation key by re-seeding: the stream
-       depends on (seed, level, path) alone, so multilevel campaigns stay
-       bit-identical under any scheduling, and level 0 is byte-for-byte
-       the classic single-level stream. *)
-    let lseed =
-      mix (Int64.logxor seed (Int64.mul (Int64.of_int level) golden_gamma))
-    in
-    for_path ~seed:lseed ~path
-
 let split t = create (bits64 t)
 
 let float t =

@@ -13,15 +13,6 @@ val create : int64 -> t
 val for_path : seed:int64 -> path:int -> t
 (** Independent stream for path number [path] of a run seeded [seed]. *)
 
-val for_path_level : seed:int64 -> level:int -> path:int -> t
-(** Independent stream for path [path] at multilevel-Monte-Carlo level
-    [level]: the derivation key is [(seed, level, path)], so coupled
-    coarse/fine pairs and distributed runs stay bit-identical no matter
-    how levels are scheduled.  [for_path_level ~seed ~level:0 ~path] is
-    exactly [for_path ~seed ~path] — a degenerate one-level MLMC run
-    replays the classic stream.  Raises [Invalid_argument] on a negative
-    level. *)
-
 val split : t -> t
 (** A statistically independent generator; advances the parent. *)
 

@@ -3,12 +3,11 @@
    parallel workers — must produce the same verdict stream, estimate and
    checkpoints as one driven to completion in a single call, across both
    fixed-size (Chernoff) and sequential (Chow–Robbins) stopping rules.
-   This is the contract Engine.run and the serve scheduler build on. *)
+   This is the contract Campaign.run and the serve scheduler build on. *)
 
 module Loader = Slimsim_slim.Loader
 module Path = Slimsim_sim.Path
 module Strategy = Slimsim_sim.Strategy
-module Engine = Slimsim_sim.Engine
 module Campaign = Slimsim_sim.Campaign
 module Supervisor = Slimsim_sim.Supervisor
 module Generator = Slimsim_stats.Generator
@@ -96,20 +95,19 @@ let drive_chopped ?(park = true) c =
   in
   loop 0
 
-let test_drive_matches_engine () =
+let test_drive_matches_run () =
   let net = load race_model in
   let g = goal net "v" in
   let generator () = Generator.create Generator.Chernoff ~delta:0.1 ~eps:0.1 in
   let e =
     match
-      Engine.run ~workers:1 ~seed:11L net ~goal:g ~horizon:2.0
+      Campaign.run ~workers:1 ~seed:11L net ~goal:g ~horizon:2.0
         ~strategy:Strategy.Asap ~generator:(generator ()) ()
     with
     | Ok r -> r
     | Error e -> Alcotest.failf "engine failed: %s" (Path.error_to_string e)
   in
   let r = ok (Campaign.drive (make ())) in
-  (* Engine.result is definitionally Campaign.result *)
   same_result "engine vs drive" e r
 
 let chopped_case ~name ~kind ~workers () =
@@ -169,7 +167,7 @@ let suite =
       (chopped_case ~name ~kind ~workers)
   in
   [
-    Alcotest.test_case "drive = Engine.run" `Quick test_drive_matches_engine;
+    Alcotest.test_case "drive = Campaign.run" `Quick test_drive_matches_run;
     Alcotest.test_case "status, snapshot, sticky Done" `Quick
       test_status_and_snapshot;
     Alcotest.test_case "park -> checkpoint -> resume" `Quick

@@ -12,7 +12,7 @@ module I = Slimsim_intervals.Interval_set
 module Loader = Slimsim_slim.Loader
 module Path = Slimsim_sim.Path
 module Strategy = Slimsim_sim.Strategy
-module Engine = Slimsim_sim.Engine
+module Campaign = Slimsim_sim.Campaign
 module Generator = Slimsim_stats.Generator
 module Rng = Slimsim_stats.Rng
 module Gen = QCheck2.Gen
@@ -256,7 +256,7 @@ let engine_result ~engine ?on_error ?hold ?config ?supervisor net ~g ~horizon
     ~strategy ~kind =
   let generator = Generator.create kind ~delta:0.1 ~eps:0.1 in
   match
-    Engine.run ~seed:23L ~engine ?on_error ?config ?supervisor
+    Campaign.run ~seed:23L ~engine ?on_error ?config ?supervisor
       ?hold net ~goal:g ~horizon ~strategy ~generator ()
   with
   | Ok r -> r
@@ -276,11 +276,11 @@ let test_engine_equality () =
           ~kind:Generator.Chernoff
       in
       Alcotest.(check (float 0.0))
-        "same probability" b.Engine.probability a.Engine.probability;
-      Alcotest.(check int) "same paths" b.Engine.paths a.Engine.paths;
-      Alcotest.(check int) "same successes" b.Engine.successes a.Engine.successes;
+        "same probability" b.Campaign.probability a.Campaign.probability;
+      Alcotest.(check int) "same paths" b.Campaign.paths a.Campaign.paths;
+      Alcotest.(check int) "same successes" b.Campaign.successes a.Campaign.successes;
       Alcotest.(check int)
-        "same deadlocks" b.Engine.deadlock_paths a.Engine.deadlock_paths)
+        "same deadlocks" b.Campaign.deadlock_paths a.Campaign.deadlock_paths)
     strategies
 
 let test_violated_paths_counted () =
@@ -296,12 +296,12 @@ let test_violated_paths_counted () =
     engine_result ~engine:`Compiled ~hold net ~g ~horizon:50.0
       ~strategy:Strategy.Asap ~kind:Generator.Chernoff
   in
-  Alcotest.(check int) "no successes" 0 r.Engine.successes;
-  Alcotest.(check bool) "violations counted" true (r.Engine.violated_paths > 0);
+  Alcotest.(check int) "no successes" 0 r.Campaign.successes;
+  Alcotest.(check bool) "violations counted" true (r.Campaign.violated_paths > 0);
   Alcotest.(check bool)
     "violations bounded by failures" true
-    (r.Engine.violated_paths <= r.Engine.paths - r.Engine.successes);
-  let s = Fmt.str "%a" Engine.pp_result r in
+    (r.Campaign.violated_paths <= r.Campaign.paths - r.Campaign.successes);
+  let s = Fmt.str "%a" Campaign.pp_result r in
   Alcotest.(check bool) "violations surfaced" true
     (Astring_contains.contains s "hold-violated")
 
@@ -313,7 +313,7 @@ let test_error_policy () =
   let config = { (Path.default_config ~horizon:100.0) with Path.max_steps = 0 } in
   let generator = Generator.create Generator.Chernoff ~delta:0.1 ~eps:0.2 in
   (match
-     Engine.run ~config net ~goal:g ~horizon:100.0 ~strategy:Strategy.Asap
+     Campaign.run ~config net ~goal:g ~horizon:100.0 ~strategy:Strategy.Asap
        ~generator ()
    with
   | Error (Path.Diverged_path (Path.Step_budget _)) -> ()
@@ -326,10 +326,10 @@ let test_error_policy () =
       ~strategy:Strategy.Asap ~kind:Generator.Chernoff
   in
   Alcotest.(check int)
-    "every path diverged" r.Engine.paths r.Engine.diverged_paths;
+    "every path diverged" r.Campaign.paths r.Campaign.diverged_paths;
   Alcotest.(check (float 0.0))
-    "diverged paths count as unsat" 0.0 r.Engine.probability;
-  let s = Fmt.str "%a" Engine.pp_result r in
+    "diverged paths count as unsat" 0.0 r.Campaign.probability;
+  let s = Fmt.str "%a" Campaign.pp_result r in
   Alcotest.(check bool) "divergence surfaced" true
     (Astring_contains.contains s "diverged");
   (* on_error:`Unsat still covers genuine path errors: a script that
@@ -339,9 +339,9 @@ let test_error_policy () =
     engine_result ~engine:`Interpreted ~on_error:`Unsat net ~g ~horizon:100.0
       ~strategy:(Strategy.Scripted bad_script) ~kind:Generator.Chernoff
   in
-  Alcotest.(check int) "every path errored" r.Engine.paths r.Engine.errors;
-  Alcotest.(check (float 0.0)) "errors count as unsat" 0.0 r.Engine.probability;
-  let s = Fmt.str "%a" Engine.pp_result r in
+  Alcotest.(check int) "every path errored" r.Campaign.paths r.Campaign.errors;
+  Alcotest.(check (float 0.0)) "errors count as unsat" 0.0 r.Campaign.probability;
+  let s = Fmt.str "%a" Campaign.pp_result r in
   Alcotest.(check bool) "errors surfaced" true
     (Astring_contains.contains s "errored")
 

@@ -11,8 +11,10 @@
      seeds, under both fixed-N and Chow-Robbins stopping;
    - the D[...] rendering is pinned byte-for-byte at a fixed seed;
    - checkpoints carrying a cost block round-trip, resume to the same
-     result, and cross-resume against classic/multilevel checkpoints is
-     rejected. *)
+     result, and cross-resume against classic checkpoints is rejected;
+   - a priced campaign is the shared campaign kernel: workers, quota
+     stepping, park and checkpoint/resume across worker counts give
+     byte-identical cost results. *)
 
 module Loader = Slimsim_slim.Loader
 module Pattern = Slimsim_props.Pattern
@@ -186,18 +188,29 @@ root D.I;
 
 let truncated_mean u = 1.0 -. (u *. exp (-.u) /. (1.0 -. exp (-.u)))
 
-let make_cost ?supervisor ?(kind = Generator.Chow_robbins) ?(delta = 0.01)
-    ?(eps = 0.05) ?(seed = 1L) ?(horizon = 6.0) ?engine
+let create_cost ?supervisor ?workers ?(kind = Generator.Chow_robbins)
+    ?(delta = 0.01) ?(eps = 0.05) ?(seed = 1L) ?(horizon = 6.0) ?engine
     ?(query = "E[c ; <> [0, 6] v]") () =
   let net = load exp_model in
   let g = goal net "v" in
   let cv = cost_var net "c" in
+  Campaign.create ~seed ?supervisor ?workers ?engine ~cost:(cv, query) net
+    ~goal:g ~horizon ~strategy:Strategy.Asap
+    ~generator:(Generator.create kind ~delta ~eps) ()
+
+let make_cost ?supervisor ?workers ?kind ?delta ?eps ?seed ?horizon ?engine
+    ?query () =
   match
-    Cost_run.create ~seed ?supervisor ?engine net ~goal:g ~horizon
-      ~strategy:Strategy.Asap ~cost_var:cv ~query ~kind ~delta ~eps ()
+    create_cost ?supervisor ?workers ?kind ?delta ?eps ?seed ?horizon ?engine
+      ?query ()
   with
   | Ok c -> c
   | Error e -> Alcotest.failf "cost create failed: %s" (Path.error_to_string e)
+
+(* Drive a priced campaign to its cost result ([delta] must be the
+   campaign's). *)
+let drive ?(delta = 0.01) c =
+  Result.map (Cost_run.of_campaign ~delta c) (Campaign.drive c)
 
 let ok = function
   | Ok r -> r
@@ -209,7 +222,7 @@ let test_expected_cost_analytic () =
     (fun seed ->
       (* Chow-Robbins: stop when the cost mean's CLT half-width is below
          eps *)
-      let r = ok (Cost_run.drive (make_cost ~seed ())) in
+      let r = ok (drive (make_cost ~seed ())) in
       if not (r.Cost_run.cost_ci_low <= truth && truth <= r.Cost_run.cost_ci_high)
       then
         Alcotest.failf
@@ -225,7 +238,7 @@ let test_expected_cost_analytic () =
          the cost interval covers whatever sat paths that bought *)
       let r2 =
         ok
-          (Cost_run.drive
+          (drive
              (make_cost ~seed ~kind:Generator.Chernoff ~delta:0.01 ~eps:0.02 ()))
       in
       Alcotest.(check (option int))
@@ -332,15 +345,16 @@ let test_distribution_golden () =
   let cv = cost_var net "x" in
   let t =
     match
-      Cost_run.create ~seed:1L net ~goal:g ~horizon:300.0
-        ~strategy:Strategy.Progressive ~cost_var:cv
-        ~query:"D[x ; <> [0, 300] measurement]" ~kind:Generator.Chernoff
-        ~delta:0.05 ~eps:0.05 ()
+      Campaign.create ~seed:1L
+        ~cost:(cv, "D[x ; <> [0, 300] measurement]")
+        net ~goal:g ~horizon:300.0 ~strategy:Strategy.Progressive
+        ~generator:(Generator.create Generator.Chernoff ~delta:0.05 ~eps:0.05)
+        ()
     with
     | Ok t -> t
     | Error e -> Alcotest.failf "create failed: %s" (Path.error_to_string e)
   in
-  let r = ok (Cost_run.drive t) in
+  let r = ok (drive ~delta:0.05 t) in
   let got = Fmt.str "%a" Cost_run.pp_distribution r in
   let expected =
     "cost distribution (5903 sat paths):\n\
@@ -380,7 +394,6 @@ let test_checkpoint_roundtrip () =
           diverged = 0;
           dropped = 0;
           leases = [];
-          mlmc = None;
           cost =
             Some
               {
@@ -416,7 +429,6 @@ let classic_checkpoint file =
       diverged = 0;
       dropped = 0;
       leases = [];
-      mlmc = None;
       cost = None;
     }
 
@@ -435,17 +447,16 @@ let test_cross_resume_rejected () =
         make_cost ~supervisor:sup1 ~seed:7L ~delta:0.05 ~eps:0.1
           ~query:"E[c ; <> [0, 6] v]" ()
       in
-      let _ = ok (Cost_run.drive t) in
+      let _ = ok (Campaign.drive t) in
       let sup = resume_sup file in
       let gen = Generator.create Generator.Chow_robbins ~delta:0.05 ~eps:0.1 in
       (match Campaign.resume_base sup gen (Campaign.new_tally ()) ~seed:7L with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "classic resume accepted a cost checkpoint");
       (* ... and a cost resume under a different query is rejected *)
-      let gen' = Generator.create Generator.Chow_robbins ~delta:0.05 ~eps:0.1 in
       match
-        Campaign.resume_cost sup gen' (Campaign.new_tally ()) ~seed:7L
-          ~query:"E[c ; <> [0, 99] v]"
+        create_cost ~supervisor:sup ~seed:7L ~delta:0.05 ~eps:0.1
+          ~query:"E[c ; <> [0, 99] v]" ()
       with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "cost resume accepted a different query");
@@ -453,16 +464,15 @@ let test_cross_resume_rejected () =
   with_tmp (fun file ->
       classic_checkpoint file;
       let sup = resume_sup file in
-      let gen = Generator.create Generator.Chow_robbins ~delta:0.05 ~eps:0.1 in
       match
-        Campaign.resume_cost sup gen (Campaign.new_tally ()) ~seed:7L
-          ~query:"E[c ; <> [0, 6] v]"
+        create_cost ~supervisor:sup ~seed:7L ~delta:0.05 ~eps:0.1
+          ~query:"E[c ; <> [0, 6] v]" ()
       with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "cost resume accepted a classic checkpoint")
 
 let test_resume_reproduces_uninterrupted () =
-  let uninterrupted = ok (Cost_run.drive (make_cost ~seed:5L ())) in
+  let uninterrupted = ok (drive (make_cost ~seed:5L ())) in
   with_tmp (fun file ->
       (* run the first slice with periodic checkpoints, abandon it, then
          resume from the file: the final accumulator must be identical *)
@@ -470,17 +480,17 @@ let test_resume_reproduces_uninterrupted () =
         Supervisor.create ~checkpoint:{ Supervisor.file; every = 50 } ()
       in
       let t1 = make_cost ~supervisor:sup1 ~seed:5L () in
-      (match Cost_run.step ~quota:130 t1 with
-      | Cost_run.Running -> ()
-      | Cost_run.Done _ -> Alcotest.fail "converged before the interrupt point"
-      | Cost_run.Failed e ->
+      (match Campaign.step ~quota:130 t1 with
+      | Campaign.Running -> ()
+      | Campaign.Done _ -> Alcotest.fail "converged before the interrupt point"
+      | Campaign.Failed e ->
         Alcotest.failf "first slice failed: %s" (Path.error_to_string e));
       let sup2 =
         Supervisor.create ~checkpoint:{ Supervisor.file; every = 50 }
           ~resume:true ()
       in
       let t2 = make_cost ~supervisor:sup2 ~seed:5L () in
-      let resumed = ok (Cost_run.drive t2) in
+      let resumed = ok (drive t2) in
       Alcotest.(check int) "same sat count" uninterrupted.Cost_run.cost_samples
         resumed.Cost_run.cost_samples;
       Alcotest.(check (float 0.0)) "same mean" uninterrupted.Cost_run.cost_mean
@@ -499,18 +509,33 @@ let test_resume_reproduces_uninterrupted () =
         uninterrupted.Cost_run.reach.Campaign.paths
         resumed.Cost_run.reach.Campaign.paths)
 
+(* The multilevel generator is gone: naming it for a cost query (or
+   passing its level option) is a usage error, never a crash. *)
 let test_mlmc_kind_rejected () =
-  let net = load exp_model in
-  let g = goal net "v" in
-  let cv = cost_var net "c" in
-  match
-    Cost_run.create net ~goal:g ~horizon:6.0 ~strategy:Strategy.Asap
-      ~cost_var:cv ~query:"E[c ; <> [0, 6] v]" ~kind:Generator.Mlmc
-      ~delta:0.05 ~eps:0.05 ()
-  with
-  | Error (Path.Model_error _) -> ()
-  | Error e -> Alcotest.failf "unexpected error: %s" (Path.error_to_string e)
-  | Ok _ -> Alcotest.fail "mlmc generator accepted for a cost query"
+  let bin =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/slimsim_cli.exe"
+  in
+  let model = Filename.temp_file "slimsim_cost" ".slim" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove model with Sys_error _ -> ())
+    (fun () ->
+      Out_channel.with_open_text model (fun oc -> output_string oc exp_model);
+      let status extra =
+        Sys.command
+          (Filename.quote_command bin ~stdout:Filename.null
+             ~stderr:Filename.null
+             ([ "simulate"; model; "--query"; "E[c ; <> [0, 6] v]"; "-e"; "0.1";
+                "--no-lint" ]
+             @ extra))
+      in
+      Alcotest.(check int) "a valid generator runs" 0
+        (status [ "--generator"; "chow-robbins" ]);
+      List.iter
+        (fun extra ->
+          let code = status extra in
+          if code = 0 then
+            Alcotest.failf "%s accepted" (String.concat " " extra))
+        [ [ "--generator"; "mlmc" ]; [ "--mlmc-levels"; "2" ] ])
 
 let test_resolve_cost_rejects_discrete () =
   let net = load exp_model in
@@ -520,6 +545,87 @@ let test_resolve_cost_rejects_discrete () =
   match Pattern.resolve_cost net "c >= 1.0" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "compound expression accepted as a cost observer"
+
+(* --- one kernel: every schedule gives the same cost result ---
+
+   A priced campaign is the classic campaign with a cost fold, so worker
+   count, quota slicing, parking and a checkpoint taken at one worker
+   count and resumed at another must all reproduce the single-worker
+   result byte for byte — the sequential Chow-Robbins rule (E on the
+   exponential model) and a fixed-size plan (D on gps nominal) alike. *)
+
+let render r = Fmt.str "%a" Cost_run.pp_distribution r
+
+let same_cost name (a : Cost_run.result) (b : Cost_run.result) =
+  Alcotest.(check (float 0.0)) (name ^ ": cost_mean") a.Cost_run.cost_mean
+    b.Cost_run.cost_mean;
+  Alcotest.(check (array int)) (name ^ ": cost_buckets") a.Cost_run.cost_buckets
+    b.Cost_run.cost_buckets;
+  Alcotest.(check string) (name ^ ": distribution") (render a) (render b)
+
+let step_through ~park c =
+  let quotas = [| 1; 7; 3; 29; 5 |] in
+  let rec loop i =
+    match Campaign.step ~quota:quotas.(i mod Array.length quotas) c with
+    | Campaign.Running ->
+      if park then Campaign.park c;
+      loop (i + 1)
+    | Campaign.Done r -> r
+    | Campaign.Failed e ->
+      Alcotest.failf "cost campaign failed: %s" (Path.error_to_string e)
+  in
+  loop 0
+
+let check_schedules ~delta
+    (make : ?workers:int -> ?supervisor:Supervisor.t -> unit -> Campaign.t) =
+  let result c r = Cost_run.of_campaign ~delta c r in
+  let drive_at workers =
+    let c = make ~workers () in
+    result c (ok (Campaign.drive c))
+  in
+  let reference = drive_at 1 in
+  Alcotest.(check bool) "sat paths observed" true (reference.Cost_run.cost_samples > 0);
+  List.iter
+    (fun w -> same_cost (Printf.sprintf "-j %d" w) reference (drive_at w))
+    [ 2; 3 ];
+  let c = make ~workers:1 () in
+  same_cost "small-quota step" reference (result c (step_through ~park:false c));
+  let c = make ~workers:2 () in
+  same_cost "park" reference (result c (step_through ~park:true c));
+  with_tmp (fun file ->
+      let sup1 = Supervisor.create ~checkpoint:{ Supervisor.file; every = 50 } () in
+      let c1 = make ~workers:2 ~supervisor:sup1 () in
+      (match Campaign.step ~quota:130 c1 with
+      | Campaign.Running -> Campaign.park c1
+      | Campaign.Done _ -> Alcotest.fail "converged before the checkpoint"
+      | Campaign.Failed e ->
+        Alcotest.failf "first slice failed: %s" (Path.error_to_string e));
+      let sup2 =
+        Supervisor.create ~checkpoint:{ Supervisor.file; every = 50 } ~resume:true ()
+      in
+      let c2 = make ~workers:1 ~supervisor:sup2 () in
+      Alcotest.(check int) "resumed at the parked cursor" 130 (Campaign.consumed c2);
+      same_cost "checkpoint at -j 2, resume at -j 1" reference
+        (result c2 (ok (Campaign.drive c2))))
+
+let test_expected_cost_schedules () =
+  check_schedules ~delta:0.01 (fun ?workers ?supervisor () ->
+      make_cost ?workers ?supervisor ~seed:3L ())
+
+let test_distribution_schedules () =
+  let net = load gps_nominal in
+  let g = goal net "measurement" in
+  let cv = cost_var net "x" in
+  check_schedules ~delta:0.05 (fun ?workers ?supervisor () ->
+      match
+        Campaign.create ?workers ?supervisor ~seed:2L
+          ~cost:(cv, "D[x ; <> [0, 300] measurement]")
+          net ~goal:g ~horizon:300.0 ~strategy:Strategy.Progressive
+          ~generator:(Generator.create Generator.Chernoff ~delta:0.05 ~eps:0.05)
+          ()
+      with
+      | Ok c -> c
+      | Error e -> Alcotest.failf "create failed: %s" (Path.error_to_string e))
 
 let suite =
   [
@@ -541,6 +647,10 @@ let suite =
     Alcotest.test_case "checkpoint: resume reproduces the run" `Quick
       test_resume_reproduces_uninterrupted;
     Alcotest.test_case "mlmc generator rejected" `Quick test_mlmc_kind_rejected;
+    Alcotest.test_case "E[...] identical across schedules" `Quick
+      test_expected_cost_schedules;
+    Alcotest.test_case "D[...] identical across schedules" `Quick
+      test_distribution_schedules;
     Alcotest.test_case "cost observer must be clock/continuous" `Quick
       test_resolve_cost_rejects_discrete;
   ]

@@ -11,7 +11,6 @@ module Wire = Slimsim_dist.Wire
 module Chaos = Slimsim_dist.Chaos
 module Lease = Slimsim_dist.Lease
 module Campaign = Slimsim_sim.Campaign
-module Engine = Slimsim_sim.Engine
 module Supervisor = Slimsim_sim.Supervisor
 module Strategy = Slimsim_sim.Strategy
 module Path = Slimsim_sim.Path
@@ -245,7 +244,7 @@ let reference ?(kind = Generator.Chernoff) () =
   in
   let generator = Generator.create kind ~delta:0.1 ~eps:0.1 in
   match
-    Engine.run ~workers:1 ~seed net ~goal ~horizon:300.0 ~strategy:Strategy.Asap
+    Campaign.run ~workers:1 ~seed net ~goal ~horizon:300.0 ~strategy:Strategy.Asap
       ~generator ()
   with
   | Ok r -> r

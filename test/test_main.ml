@@ -18,7 +18,6 @@ let () =
       ("robustness", Test_robustness.suite);
       ("supervisor", Test_supervisor.suite);
       ("campaign", Test_campaign.suite);
-      ("mlmc", Test_mlmc.suite);
       ("cost", Test_cost.suite);
       ("serve", Test_serve.suite);
       ("integration", Test_integration.suite);

@@ -107,6 +107,35 @@ let test_protocol_roundtrip () =
   | Ok _ -> Alcotest.fail "parsed as a non-submit request"
   | Error e -> Alcotest.failf "roundtrip failed: %s" e
 
+(* A generator this build does not have — including the removed
+   multilevel one — gets the generic unknown-generator error, which
+   names every valid kind. *)
+let test_protocol_unknown_generator () =
+  List.iter
+    (fun name ->
+      let line =
+        Printf.sprintf
+          {|{"op":"submit","model_source":"x","property":"P(<> [0,1] v)","generator":%S}|}
+          name
+      in
+      match Protocol.request_of_line line with
+      | Ok _ -> Alcotest.failf "generator %s accepted" name
+      | Error e ->
+        let expected =
+          match Generator.kind_of_string name with
+          | Error msg -> msg
+          | Ok _ -> Alcotest.failf "%s is a generator" name
+        in
+        Alcotest.(check string) (name ^ ": generic error") expected e;
+        List.iter
+          (fun k ->
+            let k = Generator.kind_to_string k in
+            if not (Astring_contains.contains e k) then
+              Alcotest.failf "error %S does not list %s" e k)
+          Generator.all_kinds)
+    [ "mlmc"; "bogus" ];
+  Alcotest.(check int) "four generator kinds" 4 (List.length Generator.all_kinds)
+
 let test_protocol_errors () =
   let fails line =
     match Protocol.request_of_line line with
@@ -344,6 +373,8 @@ let suite =
   [
     Alcotest.test_case "protocol: submit roundtrip" `Quick
       test_protocol_roundtrip;
+    Alcotest.test_case "protocol: unknown generator" `Quick
+      test_protocol_unknown_generator;
     Alcotest.test_case "protocol: malformed requests" `Quick
       test_protocol_errors;
     Alcotest.test_case "cache: LRU over network hashes" `Quick test_cache_lru;

@@ -6,7 +6,7 @@
 module Loader = Slimsim_slim.Loader
 module Path = Slimsim_sim.Path
 module Strategy = Slimsim_sim.Strategy
-module Engine = Slimsim_sim.Engine
+module Campaign = Slimsim_sim.Campaign
 module Generator = Slimsim_stats.Generator
 module Rng = Slimsim_stats.Rng
 
@@ -234,12 +234,12 @@ let test_exponential_reachability () =
   let horizon = 10.0 in
   let generator = Generator.create Generator.Chernoff ~delta:0.05 ~eps:0.02 in
   match
-    Engine.run net ~goal:g ~horizon ~strategy:Strategy.Asap ~generator ()
+    Campaign.run net ~goal:g ~horizon ~strategy:Strategy.Asap ~generator ()
   with
   | Ok r ->
     let expected = 1.0 -. exp (-0.1 *. horizon) in
     Alcotest.(check bool) "estimate near 1 - e^{-rate u}" true
-      (Float.abs (r.Engine.probability -. expected) < 0.02)
+      (Float.abs (r.Campaign.probability -. expected) < 0.02)
   | Error e -> Alcotest.fail (Path.error_to_string e)
 
 let test_exponential_race_in_model () =
@@ -265,10 +265,10 @@ root D.I;
   let net = load src in
   let g = goal net "v = 2" in
   let generator = Generator.create Generator.Chernoff ~delta:0.05 ~eps:0.02 in
-  match Engine.run net ~goal:g ~horizon:1000.0 ~strategy:Strategy.Asap ~generator () with
+  match Campaign.run net ~goal:g ~horizon:1000.0 ~strategy:Strategy.Asap ~generator () with
   | Ok r ->
     Alcotest.(check bool) "race follows the rates" true
-      (Float.abs (r.Engine.probability -. 0.75) < 0.02)
+      (Float.abs (r.Campaign.probability -. 0.75) < 0.02)
   | Error e -> Alcotest.fail (Path.error_to_string e)
 
 (* --- synchronization blocking (CSP multiway) --- *)
@@ -544,10 +544,10 @@ let test_engine_deadlock_counting () =
   let net = load deadlock_model in
   let g = goal net "v" in
   let generator = Generator.create Generator.Chernoff ~delta:0.1 ~eps:0.3 in
-  match Engine.run net ~goal:g ~horizon:10.0 ~strategy:Strategy.Asap ~generator () with
+  match Campaign.run net ~goal:g ~horizon:10.0 ~strategy:Strategy.Asap ~generator () with
   | Ok r ->
-    Alcotest.(check int) "all paths deadlocked" r.Engine.paths r.Engine.deadlock_paths;
-    Alcotest.(check (float 1e-9)) "probability zero" 0.0 r.Engine.probability
+    Alcotest.(check int) "all paths deadlocked" r.Campaign.paths r.Campaign.deadlock_paths;
+    Alcotest.(check (float 1e-9)) "probability zero" 0.0 r.Campaign.probability
   | Error e -> Alcotest.fail (Path.error_to_string e)
 
 let test_engine_seed_determinism () =
@@ -556,10 +556,10 @@ let test_engine_seed_determinism () =
   let run seed =
     let generator = Generator.create Generator.Chernoff ~delta:0.1 ~eps:0.1 in
     match
-      Engine.run ~seed net ~goal:g ~horizon:100.0 ~strategy:Strategy.Progressive
+      Campaign.run ~seed net ~goal:g ~horizon:100.0 ~strategy:Strategy.Progressive
         ~generator ()
     with
-    | Ok r -> (r.Engine.successes, r.Engine.paths)
+    | Ok r -> (r.Campaign.successes, r.Campaign.paths)
     | Error e -> Alcotest.fail (Path.error_to_string e)
   in
   Alcotest.(check bool) "same seed, same counts" true (run 5L = run 5L);
@@ -574,10 +574,10 @@ let test_engine_worker_independence () =
   let run workers =
     let generator = Generator.create Generator.Chernoff ~delta:0.1 ~eps:0.15 in
     match
-      Engine.run ~workers ~seed:11L net ~goal:g ~horizon:100.0
+      Campaign.run ~workers ~seed:11L net ~goal:g ~horizon:100.0
         ~strategy:Strategy.Asap ~generator ()
     with
-    | Ok r -> (r.Engine.successes, r.Engine.paths)
+    | Ok r -> (r.Campaign.successes, r.Campaign.paths)
     | Error e -> Alcotest.fail (Path.error_to_string e)
   in
   let sequential = run 1 in
@@ -597,10 +597,10 @@ let test_engine_parallel_determinism () =
       let run workers =
         let generator = Generator.create kind ~delta:0.1 ~eps:0.15 in
         match
-          Engine.run ~workers ~seed:29L net ~goal:g ~horizon:100.0
+          Campaign.run ~workers ~seed:29L net ~goal:g ~horizon:100.0
             ~strategy:Strategy.Progressive ~generator ()
         with
-        | Ok r -> (r.Engine.probability, r.Engine.paths, r.Engine.successes)
+        | Ok r -> (r.Campaign.probability, r.Campaign.paths, r.Campaign.successes)
         | Error e -> Alcotest.fail (Path.error_to_string e)
       in
       let name = Generator.kind_to_string kind in
@@ -627,7 +627,7 @@ let test_engine_scripted_needs_one_worker () =
   let g = goal net "measurement" in
   let generator = Generator.create Generator.Chernoff ~delta:0.1 ~eps:0.3 in
   let result =
-    Engine.run ~workers:2 net ~goal:g ~horizon:10.0
+    Campaign.run ~workers:2 net ~goal:g ~horizon:10.0
       ~strategy:(Strategy.Scripted (fun _ -> Strategy.Abort))
       ~generator ()
   in
@@ -655,11 +655,11 @@ let test_engine_ci_contains_estimate () =
   let net = load (exp_model 0.05) in
   let g = goal net "v" in
   let generator = Generator.create Generator.Hoeffding ~delta:0.05 ~eps:0.05 in
-  match Engine.run net ~goal:g ~horizon:20.0 ~strategy:Strategy.Asap ~generator () with
+  match Campaign.run net ~goal:g ~horizon:20.0 ~strategy:Strategy.Asap ~generator () with
   | Ok r ->
     Alcotest.(check bool) "interval brackets the estimate" true
-      (r.Engine.ci_low <= r.Engine.probability && r.Engine.probability <= r.Engine.ci_high);
-    Alcotest.(check int) "planned paths run" 738 r.Engine.paths
+      (r.Campaign.ci_low <= r.Campaign.probability && r.Campaign.probability <= r.Campaign.ci_high);
+    Alcotest.(check int) "planned paths run" 738 r.Campaign.paths
   | Error e -> Alcotest.fail (Path.error_to_string e)
 
 let test_trace_csv () =

@@ -287,7 +287,7 @@ let test_generator_names () =
       | Error e -> Alcotest.fail e)
     Generator.all_kinds;
   Alcotest.(check bool) "all kinds listed" true
-    (List.mem Generator.Mlmc Generator.all_kinds);
+    (List.mem Generator.Chow_robbins Generator.all_kinds);
   match Generator.kind_of_string "bogus" with
   | Ok _ -> Alcotest.fail "unknown generator must be rejected"
   | Error msg ->
@@ -389,32 +389,7 @@ let test_generator_restore () =
         (Estimator.mean (Generator.estimator restored)))
     [ Generator.Chernoff; Generator.Chow_robbins ]
 
-(* --- the multilevel accumulator --- *)
-
-module Mlmc = Slimsim_stats.Mlmc
 module Welford = Slimsim_stats.Welford
-
-let test_rng_path_levels () =
-  (* level 0 is the classic per-path stream, exactly: a one-level MLMC
-     run must replay the single-level generator bit for bit *)
-  let a = Rng.for_path ~seed:7L ~path:3 in
-  let b = Rng.for_path_level ~seed:7L ~level:0 ~path:3 in
-  for _ = 1 to 100 do
-    Alcotest.(check int64) "level 0 is for_path" (Rng.bits64 a) (Rng.bits64 b)
-  done;
-  (* distinct levels decorrelate even at the same path index *)
-  let l1 = Rng.for_path_level ~seed:7L ~level:1 ~path:3 in
-  let l2 = Rng.for_path_level ~seed:7L ~level:2 ~path:3 in
-  let l0 = Rng.for_path_level ~seed:7L ~level:0 ~path:3 in
-  Alcotest.(check bool) "levels differ" true
-    (Rng.bits64 l1 <> Rng.bits64 l2 && Rng.bits64 l1 <> Rng.bits64 l0);
-  (* stable: re-deriving the stream restarts it *)
-  let c = Rng.for_path_level ~seed:7L ~level:1 ~path:3 in
-  let d = Rng.for_path_level ~seed:7L ~level:1 ~path:3 in
-  Alcotest.(check int64) "level stream is stable" (Rng.bits64 c) (Rng.bits64 d);
-  match Rng.for_path_level ~seed:7L ~level:(-1) ~path:0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative level must be rejected"
 
 let test_welford_half_width () =
   let w = Welford.create () in
@@ -427,113 +402,6 @@ let test_welford_half_width () =
     ((hi -. lo) /. 2.0);
   Alcotest.(check bool) "tighter at lower confidence" true
     (Welford.half_width w ~delta:0.5 < hw)
-
-let test_mlmc_create_invalid () =
-  let expect_invalid name f =
-    match f () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.failf "%s must be rejected" name
-  in
-  expect_invalid "empty costs" (fun () ->
-      Mlmc.create ~costs:[||] ~delta:0.05 ~eps:0.01 ());
-  expect_invalid "non-positive cost" (fun () ->
-      Mlmc.create ~costs:[| 0.5; 0.0 |] ~delta:0.05 ~eps:0.01 ());
-  expect_invalid "delta out of range" (fun () ->
-      Mlmc.create ~costs:[| 1.0 |] ~delta:1.5 ~eps:0.01 ());
-  expect_invalid "eps out of range" (fun () ->
-      Mlmc.create ~costs:[| 1.0 |] ~delta:0.05 ~eps:0.0 ());
-  expect_invalid "warmup below 2" (fun () ->
-      Mlmc.create ~warmup:1 ~costs:[| 1.0 |] ~delta:0.05 ~eps:0.01 ())
-
-let test_mlmc_telescoped_interval () =
-  (* the telescoped mean is the sum of the per-level means, and the CLT
-     half-width is the root-sum-square of the per-level Welford
-     half-widths (same z, variances add) *)
-  let m = Mlmc.create ~warmup:2 ~costs:[| 0.5; 1.5 |] ~delta:0.05 ~eps:0.01 () in
-  let w0 = Welford.create () and w1 = Welford.create () in
-  let feed level w x =
-    Mlmc.feed m ~level x;
-    Welford.add w x
-  in
-  List.iter (feed 0 w0) [ 0.0; 1.0; 1.0; 0.0; 1.0; 0.0; 1.0; 1.0 ];
-  List.iter (feed 1 w1) [ 0.0; 0.0; 1.0; 0.0; 0.0; 0.0 ];
-  Alcotest.(check int) "level 0 count" 8 (Mlmc.samples m ~level:0);
-  Alcotest.(check int) "level 1 count" 6 (Mlmc.samples m ~level:1);
-  Alcotest.(check int) "total" 14 (Mlmc.total_samples m);
-  Alcotest.(check (float 1e-12)) "spent cost"
-    ((8.0 *. 0.5) +. (6.0 *. 1.5))
-    (Mlmc.spent_cost m);
-  Alcotest.(check (float 1e-12)) "telescoped mean"
-    (Welford.mean w0 +. Welford.mean w1)
-    (Mlmc.mean m);
-  let hw0 = Welford.half_width w0 ~delta:0.05 in
-  let hw1 = Welford.half_width w1 ~delta:0.05 in
-  Alcotest.(check (float 1e-12)) "root-sum-square half-width"
-    (sqrt ((hw0 *. hw0) +. (hw1 *. hw1)))
-    (Mlmc.half_width m);
-  let lo, hi = Mlmc.confidence_interval m in
-  Alcotest.(check (float 1e-12)) "interval centered on the mean"
-    (2.0 *. Mlmc.mean m) (lo +. hi)
-
-let test_mlmc_allocation () =
-  (* warmup first: levels fill round-robin-by-first-hungry to the floor *)
-  let m = Mlmc.create ~warmup:3 ~costs:[| 1.0; 2.0 |] ~delta:0.05 ~eps:0.05 () in
-  Alcotest.(check (option int)) "warmup starts at level 0" (Some 0)
-    (Mlmc.next_level m);
-  for _ = 1 to 3 do
-    Mlmc.feed m ~level:0 1.0
-  done;
-  Alcotest.(check (option int)) "then level 1" (Some 1) (Mlmc.next_level m);
-  for _ = 1 to 3 do
-    Mlmc.feed m ~level:1 0.0
-  done;
-  (* after warmup the greedy step chases variance reduction per cost:
-     keep level 1 noiseless and level 0 noisy, and every marginal sample
-     goes to level 0 *)
-  let rng = Rng.create 3L in
-  let hungry = ref 0 in
-  let fed = ref 0 in
-  while Mlmc.needs_more m && !fed < 50_000 do
-    (match Mlmc.next_level m with
-    | Some 0 ->
-      incr hungry;
-      Mlmc.feed m ~level:0 (if Rng.float rng < 0.5 then 1.0 else 0.0)
-    | Some _ -> Mlmc.feed m ~level:1 0.0
-    | None -> ());
-    incr fed
-  done;
-  Alcotest.(check bool) "converged" true (not (Mlmc.needs_more m));
-  Alcotest.(check bool) "noisy cheap level got the samples" true
-    (Mlmc.samples m ~level:0 > 4 * Mlmc.samples m ~level:1);
-  (* greedy must land in the neighbourhood of the closed-form target *)
-  let n0 = Mlmc.samples m ~level:0 in
-  let t0 = Mlmc.target_samples m ~level:0 in
-  Alcotest.(check bool)
-    (Printf.sprintf "near the closed-form allocation (%d vs %d)" n0 t0)
-    true
-    (float_of_int (abs (n0 - t0)) /. float_of_int t0 < 0.25)
-
-let test_mlmc_restore () =
-  let m = Mlmc.create ~warmup:2 ~costs:[| 0.25; 1.0 |] ~delta:0.1 ~eps:0.02 () in
-  let rng = Rng.create 17L in
-  for _ = 1 to 250 do
-    Mlmc.feed m ~level:0 (if Rng.float rng < 0.3 then 1.0 else 0.0);
-    if Rng.float rng < 0.4 then
-      Mlmc.feed m ~level:1 (if Rng.float rng < 0.1 then 1.0 else 0.0)
-  done;
-  let m' = Mlmc.create ~warmup:2 ~costs:[| 0.25; 1.0 |] ~delta:0.1 ~eps:0.02 () in
-  for l = 0 to 1 do
-    let n, mean, m2 = Mlmc.level_state m ~level:l in
-    Mlmc.restore_level m' ~level:l ~n ~mean ~m2
-  done;
-  Alcotest.(check (float 0.0)) "mean is bit-identical" (Mlmc.mean m)
-    (Mlmc.mean m');
-  Alcotest.(check (float 0.0)) "half-width is bit-identical"
-    (Mlmc.half_width m) (Mlmc.half_width m');
-  Alcotest.(check (option int)) "same next allocation" (Mlmc.next_level m)
-    (Mlmc.next_level m');
-  Alcotest.(check (float 0.0)) "same spent cost" (Mlmc.spent_cost m)
-    (Mlmc.spent_cost m')
 
 (* --- estimator merge / of_counts edge cases --- *)
 
@@ -607,13 +475,7 @@ let suite =
     Alcotest.test_case "welford serialization" `Quick
       test_welford_serialization;
     Alcotest.test_case "generator restore" `Quick test_generator_restore;
-    Alcotest.test_case "rng path-level streams" `Quick test_rng_path_levels;
     Alcotest.test_case "welford half-width" `Quick test_welford_half_width;
-    Alcotest.test_case "mlmc create validation" `Quick test_mlmc_create_invalid;
-    Alcotest.test_case "mlmc telescoped interval" `Quick
-      test_mlmc_telescoped_interval;
-    Alcotest.test_case "mlmc allocation" `Quick test_mlmc_allocation;
-    Alcotest.test_case "mlmc restore" `Quick test_mlmc_restore;
     Alcotest.test_case "estimator merge edges" `Quick test_estimator_merge_edges;
     Alcotest.test_case "estimator of_counts validation" `Quick
       test_estimator_of_counts_rejects;

@@ -7,7 +7,7 @@
 module Loader = Slimsim_slim.Loader
 module Path = Slimsim_sim.Path
 module Strategy = Slimsim_sim.Strategy
-module Engine = Slimsim_sim.Engine
+module Campaign = Slimsim_sim.Campaign
 module Supervisor = Slimsim_sim.Supervisor
 module Generator = Slimsim_stats.Generator
 module Rng = Slimsim_stats.Rng
@@ -30,27 +30,27 @@ let ok = function
 let run ?(workers = 1) ?(engine = `Compiled) ?supervisor ?config ?(seed = 7L)
     ?(kind = Generator.Chernoff) ?(delta = 0.1) ?(eps = 0.1) net g ~horizon =
   let generator = Generator.create kind ~delta ~eps in
-  Engine.run ~workers ~seed ?config ~engine ?supervisor net ~goal:g ~horizon
+  Campaign.run ~workers ~seed ?config ~engine ?supervisor net ~goal:g ~horizon
     ~strategy:Strategy.Asap ~generator ()
 
 (* Everything that must be schedule-independent: the estimate and every
    counter derived from the verdict stream (wall time and restart
    counts legitimately differ). *)
-let same_estimate name (a : Engine.result) (b : Engine.result) =
-  Alcotest.(check (float 0.0)) (name ^ ": probability") a.Engine.probability
-    b.Engine.probability;
-  Alcotest.(check int) (name ^ ": paths") a.Engine.paths b.Engine.paths;
-  Alcotest.(check int) (name ^ ": successes") a.Engine.successes
-    b.Engine.successes;
-  Alcotest.(check int) (name ^ ": deadlocks") a.Engine.deadlock_paths
-    b.Engine.deadlock_paths;
-  Alcotest.(check int) (name ^ ": violated") a.Engine.violated_paths
-    b.Engine.violated_paths;
-  Alcotest.(check int) (name ^ ": errors") a.Engine.errors b.Engine.errors;
-  Alcotest.(check int) (name ^ ": diverged") a.Engine.diverged_paths
-    b.Engine.diverged_paths;
-  Alcotest.(check int) (name ^ ": dropped") a.Engine.dropped_paths
-    b.Engine.dropped_paths
+let same_estimate name (a : Campaign.result) (b : Campaign.result) =
+  Alcotest.(check (float 0.0)) (name ^ ": probability") a.Campaign.probability
+    b.Campaign.probability;
+  Alcotest.(check int) (name ^ ": paths") a.Campaign.paths b.Campaign.paths;
+  Alcotest.(check int) (name ^ ": successes") a.Campaign.successes
+    b.Campaign.successes;
+  Alcotest.(check int) (name ^ ": deadlocks") a.Campaign.deadlock_paths
+    b.Campaign.deadlock_paths;
+  Alcotest.(check int) (name ^ ": violated") a.Campaign.violated_paths
+    b.Campaign.violated_paths;
+  Alcotest.(check int) (name ^ ": errors") a.Campaign.errors b.Campaign.errors;
+  Alcotest.(check int) (name ^ ": diverged") a.Campaign.diverged_paths
+    b.Campaign.diverged_paths;
+  Alcotest.(check int) (name ^ ": dropped") a.Campaign.dropped_paths
+    b.Campaign.dropped_paths
 
 (* --- models --- *)
 
@@ -201,12 +201,12 @@ let test_divergence_unsat () =
       (Generator.planned_samples
          (Generator.create Generator.Chernoff ~delta:0.1 ~eps:0.1))
   in
-  Alcotest.(check int) "planned paths consumed" planned r1.Engine.paths;
-  Alcotest.(check bool) "some paths diverged" true (r1.Engine.diverged_paths > 0);
-  Alcotest.(check int) "nothing dropped" 0 r1.Engine.dropped_paths;
+  Alcotest.(check int) "planned paths consumed" planned r1.Campaign.paths;
+  Alcotest.(check bool) "some paths diverged" true (r1.Campaign.diverged_paths > 0);
+  Alcotest.(check int) "nothing dropped" 0 r1.Campaign.dropped_paths;
   Alcotest.(check bool) "race is roughly fair" true
     (let frac =
-       float_of_int r1.Engine.diverged_paths /. float_of_int r1.Engine.paths
+       float_of_int r1.Campaign.diverged_paths /. float_of_int r1.Campaign.paths
      in
      0.3 < frac && frac < 0.7);
   (* the estimate and counters are worker-count independent *)
@@ -237,13 +237,13 @@ let test_divergence_drop () =
          (Generator.create Generator.Chernoff ~delta:0.1 ~eps:0.1))
   in
   (* dropping re-plans: the kept sample count still reaches the plan *)
-  Alcotest.(check int) "kept samples reach the plan" planned r1.Engine.paths;
-  Alcotest.(check bool) "some paths dropped" true (r1.Engine.dropped_paths > 0);
-  Alcotest.(check int) "dropped = diverged under `Drop" r1.Engine.diverged_paths
-    r1.Engine.dropped_paths;
+  Alcotest.(check int) "kept samples reach the plan" planned r1.Campaign.paths;
+  Alcotest.(check bool) "some paths dropped" true (r1.Campaign.dropped_paths > 0);
+  Alcotest.(check int) "dropped = diverged under `Drop" r1.Campaign.diverged_paths
+    r1.Campaign.dropped_paths;
   (* every kept sample reached the goal, so conditioning on
      non-divergence gives probability 1 *)
-  Alcotest.(check (float 0.0)) "kept samples all sat" 1.0 r1.Engine.probability;
+  Alcotest.(check (float 0.0)) "kept samples all sat" 1.0 r1.Campaign.probability;
   List.iter
     (fun workers ->
       let r =
@@ -303,7 +303,7 @@ let test_crash_recovery () =
           in
           same_estimate name r baseline;
           Alcotest.(check int) (name ^ ": two restarts") 2
-            r.Engine.worker_restarts)
+            r.Campaign.worker_restarts)
         [ 1; 2; 4 ])
     [ Generator.Chernoff; Generator.Chow_robbins ]
 
@@ -345,7 +345,6 @@ let test_checkpoint_roundtrip () =
       diverged = 4;
       dropped = 5;
       leases = [ (7, 120, 184); (8, 184, 248) ];
-      mlmc = None;
       cost = None;
     }
   in
@@ -356,48 +355,47 @@ let test_checkpoint_roundtrip () =
     Alcotest.(check bool) "bit-identical round trip" true (st = st')
   | Error e -> Alcotest.failf "load failed: %s" e);
   Sys.remove file;
-  (* the multilevel block round-trips bit-exactly too, %h floats and all *)
-  let st_ml =
-    {
-      st with
-      Supervisor.Checkpoint.kind = Generator.Mlmc;
-      leases = [];
-      mlmc =
-        Some
-          {
-            Supervisor.Checkpoint.ml_levels =
-              [|
-                {
-                  Supervisor.Checkpoint.l_next_path = 450;
-                  l_count = 440;
-                  l_mean = 1.0 /. 3.0;
-                  l_m2 = 97.125;
-                };
-                {
-                  Supervisor.Checkpoint.l_next_path = 60;
-                  l_count = 58;
-                  l_mean = 0.017;
-                  l_m2 = 1e-9;
-                };
-              |];
-            ml_paths = 568;
-            ml_sat = 151;
-            ml_cost = 89.5;
-          };
-    }
-  in
-  let file = Filename.temp_file "slimsim" ".ckpt" in
-  Supervisor.Checkpoint.save ~file st_ml;
-  (match Supervisor.Checkpoint.load ~file with
-  | Ok st' ->
-    Alcotest.(check bool) "mlmc block round trip" true (st_ml = st')
-  | Error e -> Alcotest.failf "mlmc load failed: %s" e);
-  Sys.remove file;
   let bad = Filename.temp_file "slimsim" ".ckpt" in
   (match Supervisor.Checkpoint.load ~file:bad with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "an empty file is not a checkpoint");
   Sys.remove bad
+
+(* Checkpoints written by the removed multilevel (mlmc) generator — the
+   [generator mlmc] header plus its trailing per-level block — are
+   rejected with an error, never an exception; so is the block behind
+   a generator this build knows. *)
+let test_checkpoint_mlmc_rejected () =
+  let mlmc_file ~generator =
+    String.concat ""
+      [
+        "slimsim-checkpoint 2\n";
+        "seed 1360204051\n";
+        Printf.sprintf "generator %s\n" generator;
+        Printf.sprintf "delta %h\n" 0.05;
+        Printf.sprintf "eps %h\n" (1.0 /. 3.0);
+        "next-path 123\n";
+        "estimator 118 37\n";
+        "tallies 1 2 3 4 5\n";
+        "leases 0\n";
+        Printf.sprintf "mlmc 2 568 151 %h\n" 89.5;
+        Printf.sprintf "mlmc-level 450 440 %h %h\n" (1.0 /. 3.0) 97.125;
+        Printf.sprintf "mlmc-level 60 58 %h %h\n" 0.017 1e-9;
+      ]
+  in
+  List.iter
+    (fun generator ->
+      let file = Filename.temp_file "slimsim" ".ckpt" in
+      Out_channel.with_open_text file (fun oc ->
+          output_string oc (mlmc_file ~generator));
+      (match Supervisor.Checkpoint.load ~file with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "mlmc checkpoint (generator %s) loaded" generator
+      | exception e ->
+        Alcotest.failf "mlmc checkpoint (generator %s) raised %s" generator
+          (Printexc.to_string e));
+      Sys.remove file)
+    [ "mlmc"; "chow-robbins" ]
 
 let with_checkpoint_file f =
   let file = Filename.temp_file "slimsim" ".ckpt" in
@@ -430,17 +428,17 @@ let test_interrupt_and_resume () =
           let r1 = ok (run ~workers ~supervisor:sup1 ~kind net g ~horizon:100.0) in
           Alcotest.(check bool)
             (name ^ ": interrupted") true
-            (r1.Engine.stopped = Engine.Interrupted);
+            (r1.Campaign.stopped = Campaign.Interrupted);
           Alcotest.(check bool)
             (name ^ ": partial estimate") true
-            (r1.Engine.paths < baseline.Engine.paths);
+            (r1.Campaign.paths < baseline.Campaign.paths);
           (* Resume: continues to the same final estimate as an
              uninterrupted campaign. *)
           let sup2 = Supervisor.create ~checkpoint ~resume:true () in
           let r2 = ok (run ~workers ~supervisor:sup2 ~kind net g ~horizon:100.0) in
           Alcotest.(check bool)
             (name ^ ": resumed run converged") true
-            (r2.Engine.stopped = Engine.Converged);
+            (r2.Campaign.stopped = Campaign.Converged);
           same_estimate (name ^ ": resume = uninterrupted") r2 baseline;
           (* Resuming a converged campaign is a no-op with the same
              answer. *)
@@ -525,7 +523,7 @@ let test_resume_mismatch () =
   with_checkpoint_file @@ fun file ->
   let checkpoint = { Supervisor.file; every = 1 } in
   let sup = Supervisor.create ~checkpoint () in
-  let (_ : Engine.result) =
+  let (_ : Campaign.result) =
     ok (run ~supervisor:sup ~seed:7L net g ~horizon:100.0)
   in
   let sup2 = Supervisor.create ~checkpoint ~resume:true () in
@@ -552,6 +550,8 @@ let suite =
     Alcotest.test_case "restart budget aborts" `Quick
       test_restart_budget_exhausted;
     Alcotest.test_case "checkpoint round trip" `Quick test_checkpoint_roundtrip;
+    Alcotest.test_case "checkpoint: mlmc block rejected" `Quick
+      test_checkpoint_mlmc_rejected;
     Alcotest.test_case "interrupt, resume, converge" `Quick
       test_interrupt_and_resume;
     Alcotest.test_case "resume rejects a mismatched seed" `Quick
