@@ -366,21 +366,33 @@ let micro ?(quick = false) ?(json = false) () =
     | Ok g -> g
     | Error e -> failwith e
   in
-  let one_path net goal strategy seed =
-    let cfg = Slimsim_sim.Path.default_config ~horizon:300.0 in
+  (* Fig 5's launcher: 31 processes and 74 data flows, so it is the
+     kernel where the discrete step (flows, trials) dominates *)
+  let launcher = load (Launcher.source ~variant:`Recoverable) in
+  let launcher_net = Slimsim.network launcher in
+  let launcher_goal =
+    match
+      Slimsim.parse_property launcher
+        (Printf.sprintf "P(<> [0, 50] %s)" Launcher.goal_failure)
+    with
+    | Ok (g, _, _) -> g
+    | Error e -> failwith e
+  in
+  let one_path ?(horizon = 300.0) net goal strategy seed =
+    let cfg = Slimsim_sim.Path.default_config ~horizon in
     let rng = Slimsim_stats.Rng.for_path ~seed ~path:0 in
     ignore (Slimsim_sim.Path.generate net cfg strategy rng ~goal)
   in
   (* compiled kernels: network staged once, one scratch reused per run
      (the engine's per-worker usage pattern) *)
-  let one_path_compiled ?config net goal strategy =
+  let one_path_compiled ?config ?(horizon = 300.0) net goal strategy =
     let c = Slimsim_sta.Compiled.compile net in
     let q = Slimsim_sim.Path.compile_query c ~goal in
     let s = Slimsim_sta.Compiled.scratch c in
     let cfg =
       match config with
       | Some cfg -> cfg
-      | None -> Slimsim_sim.Path.default_config ~horizon:300.0
+      | None -> Slimsim_sim.Path.default_config ~horizon
     in
     fun ?obs seed ->
       let rng = Slimsim_stats.Rng.for_path ~seed ~path:0 in
@@ -391,6 +403,10 @@ let micro ?(quick = false) ?(json = false) () =
     one_path_compiled (Slimsim.network full_gps) gps_goal Strategy.Progressive
   in
   let nominal_c = one_path_compiled nominal_net nominal_goal Strategy.Asap in
+  let launcher_c =
+    one_path_compiled ~horizon:50.0 launcher_net launcher_goal
+      Strategy.Progressive
+  in
   (* the same kernel with every per-path watchdog armed (budgets far too
      generous to ever fire): measures the pure supervision overhead *)
   let supervised_cfg =
@@ -436,6 +452,12 @@ let micro ?(quick = false) ?(json = false) () =
              one_path (Slimsim.network full_gps) gps_goal Strategy.Progressive 1L));
       Test.make ~name:"fig5-like:one-path-gps-progressive-compiled"
         (Staged.stage (fun () -> gps_c 1L));
+      Test.make ~name:"fig5:one-path-launcher-recoverable"
+        (Staged.stage (fun () ->
+             one_path ~horizon:50.0 launcher_net launcher_goal
+               Strategy.Progressive 1L));
+      Test.make ~name:"fig5:one-path-launcher-recoverable-compiled"
+        (Staged.stage (fun () -> launcher_c 1L));
       Test.make ~name:"fig2:one-path-gps-nominal"
         (Staged.stage (fun () -> one_path nominal_net nominal_goal Strategy.Asap 1L));
       Test.make ~name:"fig2:one-path-gps-nominal-compiled"

@@ -521,7 +521,7 @@ let compile_query ?(hold = Expr.true_) c ~goal =
   }
 
 (* Mirror of [until_crossing] over the scratch state; the endpoint
-   fallback for non-linear formulas runs on the trial buffer. *)
+   fallback for non-linear formulas runs as a journaled trial. *)
 let until_crossing_c c s q ~eps ~cap =
   if cap < 0.0 then None
   else begin
@@ -713,6 +713,9 @@ let generate_compiled ?obs ?cost c s q cfg strategy rng =
                 | None ->
                   if d > remaining then verdict := Some Unsat_horizon
                   else begin
+                    (* Both outcomes advance by exactly [d]: advance once,
+                       then trial and commit the moves at delay 0. *)
+                    Compiled.advance c s d;
                     match Compiled.enabled_after c s d timed with
                     | [] ->
                       if d <= 0.0 then begin
@@ -723,13 +726,12 @@ let generate_compiled ?obs ?cost c s q cfg strategy rng =
                                (Model_error
                                   "no progress: enabled window is degenerate"))
                       end;
-                      Compiled.advance c s d;
                       (match obs with
                       | Some o -> Metrics.incr o.obs_advances
                       | None -> ())
                     | moves ->
                       let move = Dist.uniform_choice rng moves in
-                      Compiled.apply c s ~delay:d move;
+                      Compiled.apply c s move;
                       (match obs with
                       | Some o -> Metrics.incr o.obs_delay_firings
                       | None -> ());

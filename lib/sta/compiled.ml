@@ -19,22 +19,37 @@ module I = Slimsim_intervals.Interval_set
 (* Scratch state                                                      *)
 
 type cstate = {
-  mutable locs : int array;
-  mutable vals : Value.t array;
+  locs : int array;
+  vals : Value.t array;
       (* authoritative for variable [v] unless [ftag.(v)] is set *)
-  mutable fval : float array;
+  fval : float array;
       (* unboxed numeric store; authoritative where [ftag] is set *)
-  mutable ftag : Bytes.t;
+  ftag : Bytes.t;
   rates : float array;  (* current derivative vector, see [set_rates] *)
   time : float array;  (* singleton cell: flat float array = unboxed *)
-  (* double buffers for trial execution ([enabled_after] lookahead) *)
-  mutable spare_locs : int array;
-  mutable spare_vals : Value.t array;
-  mutable spare_fval : float array;
-  mutable spare_ftag : Bytes.t;
-  saved_time : float array;
   markov_buf : float array;  (* scratch for the exponential race *)
   was_active : Bytes.t;
+  (* Flow cone: flows marked for re-evaluation by the next flow pass,
+     and their count. *)
+  dirty : Bytes.t;
+  mutable n_dirty : int;
+  mutable time_stale : bool;  (* advanced since the last flow pass *)
+  (* Undo journal for trial execution: the first write to a variable or
+     location inside a trial records its old contents; [end_trial]
+     writes them back.  [jmark] flags journaled variables, then
+     locations (offset by the variable count). *)
+  mutable trial : bool;
+  jmark : Bytes.t;
+  j_var : int array;
+  j_val : Value.t array;
+  j_fval : float array;
+  j_tag : Bytes.t;
+  mutable n_jv : int;
+  j_proc : int array;
+  j_loc : int array;
+  mutable n_jl : int;
+  saved_time : float array;
+  mutable saved_time_stale : bool;
 }
 
 let time s = s.time.(0)
@@ -66,31 +81,76 @@ let get_f s v =
 let var_float s v = get_f s v
 let rate s v = s.rates.(v)
 
+(* Trial journal.  Each variable and location is journaled once per
+   trial, so the journal never holds more than [n_vars + n_procs]
+   entries and the order of the undo does not matter. *)
+let journal_var s v =
+  if Bytes.get s.jmark v = '\000' then begin
+    Bytes.set s.jmark v '\001';
+    let k = s.n_jv in
+    s.j_var.(k) <- v;
+    s.j_val.(k) <- s.vals.(v);
+    s.j_fval.(k) <- s.fval.(v);
+    Bytes.set s.j_tag k (Bytes.get s.ftag v);
+    s.n_jv <- k + 1
+  end
+
+let journal_loc s p =
+  let m = Array.length s.vals + p in
+  if Bytes.get s.jmark m = '\000' then begin
+    Bytes.set s.jmark m '\001';
+    let k = s.n_jl in
+    s.j_proc.(k) <- p;
+    s.j_loc.(k) <- s.locs.(p);
+    s.n_jl <- k + 1
+  end
+
+(* Discrete writes; the advance writes unboxed through [set_f], which
+   never journals (see [advance_journaled]). *)
 let set_v s v x =
+  if s.trial then journal_var s v;
   s.vals.(v) <- x;
   Bytes.unsafe_set s.ftag v '\000'
+
+let set_loc s p l =
+  if s.trial then journal_loc s p;
+  s.locs.(p) <- l
 
 let set_f s v x =
   Array.unsafe_set s.fval v x;
   Bytes.unsafe_set s.ftag v '\001'
 
-let cstate_of ~locs ~vals ~rates ~time =
-  let n = Array.length vals in
+let make_cstate ~locs ~vals ~rates ~time ~n_flows ~n_markov =
+  let n = Array.length vals and np = Array.length locs in
   {
-    locs = Array.copy locs;
-    vals = Array.copy vals;
+    locs;
+    vals;
     fval = Array.make n 0.0;
     ftag = Bytes.make n '\000';
-    rates = Array.copy rates;
+    rates;
     time = [| time |];
-    spare_locs = Array.copy locs;
-    spare_vals = Array.copy vals;
-    spare_fval = Array.make n 0.0;
-    spare_ftag = Bytes.make n '\000';
+    markov_buf = Array.make n_markov 0.0;
+    was_active = Bytes.make np '\000';
+    dirty = Bytes.make n_flows '\000';
+    n_dirty = 0;
+    time_stale = false;
+    trial = false;
+    jmark = Bytes.make (n + np) '\000';
+    j_var = Array.make n 0;
+    j_val = Array.make n vfalse;
+    j_fval = Array.make n 0.0;
+    j_tag = Bytes.make n '\000';
+    n_jv = 0;
+    j_proc = Array.make np 0;
+    j_loc = Array.make np 0;
+    n_jl = 0;
     saved_time = [| time |];
-    markov_buf = [||];
-    was_active = Bytes.make (Array.length locs) '\000';
+    saved_time_stale = false;
   }
+
+let cstate_of ~locs ~vals ~rates ~time =
+  make_cstate ~locs:(Array.copy locs) ~vals:(Array.copy vals)
+    ~rates:(Array.copy rates) ~time ~n_flows:0 ~n_markov:0
 
 (* ------------------------------------------------------------------ *)
 (* Expression compilation                                             *)
@@ -508,7 +568,14 @@ type cproc = {
 type t = {
   net : Network.t;
   cprocs : cproc array;
-  cflows : (int * cvalue) array;
+  cflows : (int * cvalue) array;  (* (target, expr), readers after writers *)
+  (* Flow cone indexes, by flow index into [cflows]: *)
+  var_readers : int array array;  (* flows reading each variable *)
+  var_hits : int array array;
+      (* flows a discrete write to each variable invalidates: its
+         readers and, for a flow target, the flow that overwrites it *)
+  loc_readers : int array array;  (* flows with a [Loc] atom on each process *)
+  time_flows : int array;  (* flows reading or writing a time-varying variable *)
   inits : Value.t array;
   clocks : (int * int) array;  (* (var, owner + 1); 0 = unowned *)
   n_vars : int;
@@ -610,11 +677,63 @@ let compile (net : Network.t) : t =
         })
       net.procs
   in
+  let n_vars = Array.length net.vars and n_procs = Array.length net.procs in
+  (* Variables whose value can change with time passage: clocks,
+     continuous variables and anything a location gives a derivative. *)
+  let timed = Bytes.make n_vars '\000' in
+  Array.iteri
+    (fun v (info : Network.var_info) ->
+      if info.kind <> Network.Discrete then Bytes.set timed v '\001')
+    net.vars;
+  Array.iter
+    (fun (proc : Automaton.t) ->
+      Array.iter
+        (fun (loc : Automaton.location) ->
+          List.iter (fun (v, _) -> Bytes.set timed v '\001') loc.Automaton.derivs)
+        proc.locations)
+    net.procs;
+  (* Reader indexes in one pass over the sorted flows.  Flow [i] is
+     visited whole before flow [i + 1], so a repeated read shows up as
+     [i] at the head of the list and is skipped without sorting. *)
+  let var_writer = Array.make n_vars (-1) in
+  Array.iteri (fun i (f : Network.flow) -> var_writer.(f.target) <- i) net.flows;
+  let readers = Array.make n_vars [] and loc_rd = Array.make n_procs [] in
+  let time_rd = ref [] in
+  let push (tbl : int list array) k (i : int) =
+    match tbl.(k) with j :: _ when j = i -> () | l -> tbl.(k) <- i :: l
+  in
+  Array.iteri
+    (fun i (f : Network.flow) ->
+      let touches_time = ref (Bytes.get timed f.target <> '\000') in
+      let rec walk : Expr.t -> unit = function
+        | Const _ -> ()
+        | Var v ->
+          if var_writer.(v) >= i then
+            invalid_arg "Compiled.compile: flows are not in reader-after-writer order";
+          if Bytes.get timed v <> '\000' then touches_time := true;
+          push readers v i
+        | Loc (p, _) -> push loc_rd p i
+        | Unop (_, e) -> walk e
+        | Binop (_, e1, e2) -> walk e1; walk e2
+        | Ite (e1, e2, e3) -> walk e1; walk e2; walk e3
+      in
+      walk f.expr;
+      if !touches_time then time_rd := i :: !time_rd)
+    net.flows;
+  let rev_array l = Array.of_list (List.rev l) in
+  let var_readers = Array.map rev_array readers in
   {
     net;
     cprocs;
     cflows =
       Array.map (fun (f : Network.flow) -> (f.target, compile_value f.expr)) net.flows;
+    var_readers;
+    var_hits =
+      Array.mapi
+        (fun v r -> if var_writer.(v) < 0 then r else Array.append [| var_writer.(v) |] r)
+        var_readers;
+    loc_readers = Array.map rev_array loc_rd;
+    time_flows = rev_array !time_rd;
     inits = Array.map (fun (v : Network.var_info) -> v.Network.init) net.vars;
     clocks =
       Array.of_list
@@ -625,8 +744,8 @@ let compile (net : Network.t) : t =
                Some (v, match info.owner with None -> 0 | Some p -> p + 1)
              | Network.Discrete | Network.Continuous -> None)
            (List.mapi (fun v info -> (v, info)) (Array.to_list net.vars)));
-    n_vars = Array.length net.vars;
-    n_procs = Array.length net.procs;
+    n_vars;
+    n_procs;
   }
 
 let proc_active c s p =
@@ -634,38 +753,68 @@ let proc_active c s p =
   cp.active_trivial || cp.active s
 
 (* ------------------------------------------------------------------ *)
-(* Scratch-state operations (allocation-free per step)                *)
+(* Scratch-state operations                                           *)
 
 let scratch c =
-  let n = c.n_vars in
+  let n = max c.n_vars 1 in
   let n_markov =
     Array.fold_left
       (fun acc cp ->
         acc + Array.fold_left (fun a cl -> a + Array.length cl.markov) 0 cp.p_locs)
       0 c.cprocs
   in
-  {
-    locs = Array.make (max c.n_procs 1) 0;
-    vals = Array.make (max n 1) vfalse;
-    fval = Array.make (max n 1) 0.0;
-    ftag = Bytes.make (max n 1) '\000';
-    rates = Array.make (max n 1) 0.0;
-    time = [| 0.0 |];
-    spare_locs = Array.make (max c.n_procs 1) 0;
-    spare_vals = Array.make (max n 1) vfalse;
-    spare_fval = Array.make (max n 1) 0.0;
-    spare_ftag = Bytes.make (max n 1) '\000';
-    saved_time = [| 0.0 |];
-    markov_buf = Array.make (max n_markov 1) 0.0;
-    was_active = Bytes.make (max c.n_procs 1) '\000';
-  }
+  make_cstate
+    ~locs:(Array.make (max c.n_procs 1) 0)
+    ~vals:(Array.make n vfalse) ~rates:(Array.make n 0.0) ~time:0.0
+    ~n_flows:(Array.length c.cflows) ~n_markov:(max n_markov 1)
 
-let apply_flows c s =
-  let flows = c.cflows in
-  for i = 0 to Array.length flows - 1 do
-    let target, ce = flows.(i) in
-    set_v s target (ce s)
+(* The flow cone.  Between flow passes the committed state is
+   flow-consistent except where a mark or [time_stale] says otherwise:
+   every flow target equals its expression evaluated on the state.  A
+   pass evaluates the marked flows in topological order and marks the
+   readers of each target it writes, so it leaves the same valuation as
+   a full pass in the interpreter's order. *)
+
+let[@inline] mark s i =
+  if Bytes.get s.dirty i = '\000' then begin
+    Bytes.set s.dirty i '\001';
+    s.n_dirty <- s.n_dirty + 1
+  end
+
+let mark_each s (flows : int array) =
+  for k = 0 to Array.length flows - 1 do
+    mark s (Array.unsafe_get flows k)
   done
+
+(* Most index entries are empty: test before paying for the call. *)
+let[@inline] invalidate s (flows : int array) =
+  if Array.length flows > 0 then mark_each s flows
+
+let run_flows c s =
+  if s.time_stale then begin
+    invalidate s c.time_flows;
+    s.time_stale <- false
+  end;
+  let n = Array.length c.cflows in
+  let i = ref 0 in
+  while s.n_dirty > 0 && !i < n do
+    let k = !i in
+    if Bytes.unsafe_get s.dirty k <> '\000' then begin
+      Bytes.unsafe_set s.dirty k '\000';
+      s.n_dirty <- s.n_dirty - 1;
+      let target, ce = c.cflows.(k) in
+      set_v s target (ce s);
+      invalidate s c.var_readers.(target)
+    end;
+    incr i
+  done
+
+(* Drop marks left behind by a pass that raised. *)
+let clear_marks s =
+  if s.n_dirty > 0 then begin
+    Bytes.fill s.dirty 0 (Bytes.length s.dirty) '\000';
+    s.n_dirty <- 0
+  end
 
 let reset c s =
   for p = 0 to c.n_procs - 1 do
@@ -674,7 +823,12 @@ let reset c s =
   Array.blit c.inits 0 s.vals 0 c.n_vars;
   Bytes.fill s.ftag 0 c.n_vars '\000';
   s.time.(0) <- 0.0;
-  apply_flows c s
+  clear_marks s;
+  for i = 0 to Array.length c.cflows - 1 do
+    mark s i
+  done;
+  s.time_stale <- false;
+  run_flows c s
 
 (* Mirrors [State.rate_array]: clocks of active owners tick at 1, then
    location-specific derivatives of active processes override. *)
@@ -697,65 +851,78 @@ let set_rates c s =
   done
 
 (* Requires [s.rates] to hold the rate vector of the current state
-   (callers refresh it once per step with [set_rates]). *)
+   (callers refresh it once per step with [set_rates]).  Outside a trial
+   only: the writes are not journaled. *)
 let advance c s d =
   if d <> 0.0 then begin
     for v = 0 to c.n_vars - 1 do
       let r = s.rates.(v) in
       if r <> 0.0 then set_f s v (get_f s v +. (r *. d))
     done;
-    s.time.(0) <- s.time.(0) +. d
+    s.time.(0) <- s.time.(0) +. d;
+    s.time_stale <- true
   end
 
-let apply_updates s (ups : (int * cvalue) array) =
+(* [advance] inside a trial: journal what it is about to write. *)
+let advance_journaled c s d =
+  for v = 0 to c.n_vars - 1 do
+    if s.rates.(v) <> 0.0 then journal_var s v
+  done;
+  advance c s d
+
+let apply_updates c s (ups : (int * cvalue) array) =
   for i = 0 to Array.length ups - 1 do
     let v, ce = ups.(i) in
-    set_v s v (ce s)
+    set_v s v (ce s);
+    invalidate s c.var_hits.(v)
   done
+
+let switch_loc c s p l =
+  set_loc s p l;
+  invalidate s c.loc_readers.(p)
 
 let restart_proc c s p =
   let cp = c.cprocs.(p) in
-  s.locs.(p) <- cp.p_initial;
+  switch_loc c s p cp.p_initial;
   let owned = cp.p_owned in
   for i = 0 to Array.length owned - 1 do
     let v = owned.(i) in
-    set_v s v c.inits.(v)
+    set_v s v c.inits.(v);
+    invalidate s c.var_hits.(v)
   done
 
-(* Trial execution: flip to the double buffer, run, flip back.  Depth-1
-   only (no nesting); [s.rates] is deliberately shared, it belongs to
-   the pre-trial state. *)
-let begin_trial c s =
-  Array.blit s.locs 0 s.spare_locs 0 c.n_procs;
-  Array.blit s.vals 0 s.spare_vals 0 c.n_vars;
-  Array.blit s.fval 0 s.spare_fval 0 c.n_vars;
-  Bytes.blit s.ftag 0 s.spare_ftag 0 c.n_vars;
+(* Trial execution: writes made between [begin_trial] and [end_trial]
+   are journaled and undone.  Depth-1 only (no nesting); [s.rates] is
+   deliberately shared, it belongs to the pre-trial state. *)
+let begin_trial s =
+  s.trial <- true;
   s.saved_time.(0) <- s.time.(0);
-  let l = s.locs and v = s.vals and f = s.fval and t = s.ftag in
-  s.locs <- s.spare_locs;
-  s.vals <- s.spare_vals;
-  s.fval <- s.spare_fval;
-  s.ftag <- s.spare_ftag;
-  s.spare_locs <- l;
-  s.spare_vals <- v;
-  s.spare_fval <- f;
-  s.spare_ftag <- t
+  s.saved_time_stale <- s.time_stale
 
 let end_trial s =
-  let l = s.locs and v = s.vals and f = s.fval and t = s.ftag in
-  s.locs <- s.spare_locs;
-  s.vals <- s.spare_vals;
-  s.fval <- s.spare_fval;
-  s.ftag <- s.spare_ftag;
-  s.spare_locs <- l;
-  s.spare_vals <- v;
-  s.spare_fval <- f;
-  s.spare_ftag <- t;
-  s.time.(0) <- s.saved_time.(0)
+  let nv = Array.length s.vals in
+  for k = 0 to s.n_jv - 1 do
+    let v = s.j_var.(k) in
+    s.vals.(v) <- s.j_val.(k);
+    s.fval.(v) <- s.j_fval.(k);
+    Bytes.set s.ftag v (Bytes.get s.j_tag k);
+    Bytes.set s.jmark v '\000'
+  done;
+  for k = 0 to s.n_jl - 1 do
+    let p = s.j_proc.(k) in
+    s.locs.(p) <- s.j_loc.(k);
+    Bytes.set s.jmark (nv + p) '\000'
+  done;
+  s.n_jv <- 0;
+  s.n_jl <- 0;
+  s.trial <- false;
+  s.time.(0) <- s.saved_time.(0);
+  s.time_stale <- s.saved_time_stale;
+  clear_marks s
 
 let eval_bool_after c s ~cap (f : cbool) =
-  begin_trial c s;
-  let r = try Ok (advance c s cap; f s) with e -> Error e in
+  begin_trial s;
+  let r = try Ok (advance_journaled c s cap; f s) with e -> Error e in
   end_trial s;
   match r with Ok b -> b | Error e -> raise e
 
@@ -868,40 +1035,50 @@ let invariants_hold c s =
   done;
   !ok
 
-(* Mirrors [Moves.apply]: advance, updates (participant order), location
-   switches, flows, reactivation restarts, flows again. *)
-let apply c s ?(delay = 0.0) (move : Moves.move) =
-  advance c s delay;
+(* Mirrors [Moves.apply] after its advance: updates (participant order),
+   location switches, flows, reactivation restarts, flows again.  Only
+   the flow cone is evaluated, and the second pass runs only when a
+   process restarted: without a restart it would rewrite every target
+   with the value it already holds. *)
+let step c s (move : Moves.move) =
   for p = 0 to c.n_procs - 1 do
     Bytes.set s.was_active p (if proc_active c s p then '\001' else '\000')
   done;
   (match move with
   | Moves.Local { proc; tr } ->
     let ct = c.cprocs.(proc).p_trans.(tr) in
-    apply_updates s ct.t_updates;
-    s.locs.(proc) <- ct.t_dst
+    apply_updates c s ct.t_updates;
+    switch_loc c s proc ct.t_dst
   | Moves.Sync { parts; _ } ->
     List.iter
-      (fun (p, ti) -> apply_updates s c.cprocs.(p).p_trans.(ti).t_updates)
+      (fun (p, ti) -> apply_updates c s c.cprocs.(p).p_trans.(ti).t_updates)
       parts;
-    List.iter (fun (p, ti) -> s.locs.(p) <- c.cprocs.(p).p_trans.(ti).t_dst) parts);
-  apply_flows c s;
+    List.iter (fun (p, ti) -> switch_loc c s p c.cprocs.(p).p_trans.(ti).t_dst) parts);
+  run_flows c s;
+  let restarted = ref false in
   for p = 0 to c.n_procs - 1 do
     if
       Bytes.get s.was_active p = '\000'
       && proc_active c s p
       && c.cprocs.(p).p_restart
-    then restart_proc c s p
+    then begin
+      restart_proc c s p;
+      restarted := true
+    end
   done;
-  apply_flows c s
+  if !restarted then run_flows c s
+
+let apply c s ?(delay = 0.0) move =
+  advance c s delay;
+  step c s move
 
 let enabled_after c s d timed_moves =
   List.filter_map
     (fun { Moves.move; window } ->
       if I.mem d window then begin
-        begin_trial c s;
+        begin_trial s;
         let r =
-          try Ok (apply c s ~delay:d move; invariants_hold c s)
+          try Ok (step c s move; invariants_hold c s)
           with e -> Error e
         in
         end_trial s;
@@ -940,9 +1117,3 @@ let to_state c s : State.t =
     vals = Array.init c.n_vars (fun v -> get_v s v);
     time = s.time.(0);
   }
-
-let of_state c s (st : State.t) =
-  Array.blit st.State.locs 0 s.locs 0 c.n_procs;
-  Array.blit st.State.vals 0 s.vals 0 c.n_vars;
-  Bytes.fill s.ftag 0 c.n_vars '\000';
-  s.time.(0) <- st.State.time

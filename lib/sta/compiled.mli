@@ -1,13 +1,20 @@
-(** Staged compilation of an STA network into a closure-based,
-    allocation-free run-time representation (the UPPAAL-style "compiled
-    network").  [compile] runs once per network; simulation then
-    operates on a mutable per-worker {!cstate} scratch.
+(** Staged compilation of an STA network into a closure-based run-time
+    representation (the UPPAAL-style "compiled network").  [compile]
+    runs once per network; simulation then operates on a mutable
+    per-worker {!cstate} scratch.
 
     Semantic contract: every operation mirrors the reference
     interpreter ([Expr.eval], [Linear.sat_set], [State], [Moves])
     float-op for float-op, so a compiled simulation produces a
     bit-identical verdict stream for a fixed seed.  The cross-check
-    tests in [test/test_compiled.ml] enforce this.
+    tests in [test/test_compiled.ml] enforce this, down to the whole
+    state after every move.
+
+    A discrete step costs what it changes.  [compile] indexes, for each
+    variable and each process, the data flows that read it; {!apply}
+    re-evaluates only the flows its updates, location switches,
+    restarts and any delay since the last step can have changed (the
+    flow cone), in the interpreter's topological order.
 
     Ownership rules for {!cstate} (see [docs/PERFORMANCE.md]):
     - a scratch state belongs to exactly one worker; never share one
@@ -15,9 +22,9 @@
     - [rates] is refreshed by {!set_rates} and read by {!advance},
       {!discrete} (through guards) and the symbolic closures; discrete
       application never writes it;
-    - trial execution ({!enabled_after}, {!eval_bool_after}) runs on a
-      double buffer and restores the committed state before returning,
-      even on exceptions. *)
+    - trial execution ({!enabled_after}, {!eval_bool_after}) journals
+      each variable and location it writes and undoes the journal
+      before returning, even on exceptions. *)
 
 module I := Slimsim_intervals.Interval_set
 
@@ -80,10 +87,14 @@ val rate : cstate -> int -> float
     {!set_rates}. *)
 
 val to_state : t -> cstate -> State.t
-val of_state : t -> cstate -> State.t -> unit
 
 (** {1 Per-step operations} — each mirrors its [State]/[Moves]
-    counterpart exactly; none of them allocates on the hot path. *)
+    counterpart exactly.  The scratch arrays are reused, but the step
+    still allocates: the move lists and delay windows of {!discrete},
+    boxed [Value.t] results of updates and flows, and the trial result
+    of {!enabled_after}.  perfbench's traced run measures about 2 100
+    minor words per step on [fig5-launcher] and about 280 on
+    [table1-sensor-filter] ([sim.words_per_step]). *)
 
 val set_rates : t -> cstate -> unit
 (** Refresh the rate vector for the current discrete state
@@ -108,15 +119,24 @@ val markov_buf : cstate -> float array
     rates; sized to the network's largest possible race. *)
 
 val apply : t -> cstate -> ?delay:float -> Moves.move -> unit
-(** [Moves.apply], in place.  The rate vector must describe the
-    pre-[apply] state (it is read by the advance but never written). *)
+(** [Moves.apply], in place: {!advance} by [delay] (default 0), then
+    the discrete step.  The rate vector must describe the pre-[apply]
+    state (it is read by the advance but never written).  Only the
+    flows whose inputs the step changed are re-evaluated; the second
+    flow pass runs only when a process restarted. *)
 
 val invariants_hold : t -> cstate -> bool
+
 val enabled_after : t -> cstate -> float -> Moves.timed list -> Moves.move list
+(** [enabled_after c s d moves] is [Moves.enabled_after] on the state
+    [d] time units before [s]: the caller advances [s] by [d] first,
+    and each candidate whose window contains [d] is trial-applied at
+    delay 0 and kept when the landing state satisfies the invariants.
+    [s] is unchanged on return. *)
 
 val eval_bool_after : t -> cstate -> cap:float -> cbool -> bool
 (** Evaluate a predicate in the state reached by delaying [cap],
-    without committing the delay (trial buffer). *)
+    without committing the delay (a journaled trial). *)
 
 (** {1 Formulas} *)
 

@@ -35,7 +35,7 @@ let default_meta =
 
 (* Order flows so that every flow only reads variables that are either
    not flow targets or targets of earlier flows (Kahn's algorithm). *)
-let topo_sort_flows n_vars flows =
+let topo_sort_flows flows =
   let by_target = Hashtbl.create 16 in
   List.iter
     (fun f ->
@@ -43,7 +43,6 @@ let topo_sort_flows n_vars flows =
         invalid "variable %d is the target of two data flows" f.target;
       Hashtbl.add by_target f.target f)
     flows;
-  ignore n_vars;
   let sorted = ref [] in
   let state = Hashtbl.create 16 in
   (* state: `Visiting | `Done *)
@@ -93,7 +92,7 @@ let make ~procs ~vars ~events ~flows =
       check_var "flow" f.target;
       check_expr "flow" f.expr)
     flows;
-  let flows = topo_sort_flows n_vars flows in
+  let flows = topo_sort_flows flows in
   let procs_arr = Array.of_list (List.map fst procs) in
   let meta = Array.of_list (List.map snd procs) in
   let participants =

@@ -182,7 +182,11 @@ let goal net src =
 let strategies =
   [ Strategy.Asap; Strategy.Progressive; Strategy.Local; Strategy.Max_time ]
 
-let check_verdict_stream ~name ?hold_src ~goal_src ~horizon ~seeds src =
+(* Every seed in [1, seeds] and every path id below [paths]: the
+   campaign draws one RNG stream per path id, so the oracle must hold
+   across ids, not just for path 0. *)
+let check_verdict_stream ~name ?hold_src ~goal_src ~horizon ~seeds
+    ?(paths = 100) src =
   let net = load src in
   let g = goal net goal_src in
   let hold = Option.map (goal net) hold_src in
@@ -194,22 +198,25 @@ let check_verdict_stream ~name ?hold_src ~goal_src ~horizon ~seeds src =
     (fun strategy ->
       for seed = 1 to seeds do
         let seed = Int64.of_int seed in
-        let interp =
-          fst
-            (Path.generate ?hold net cfg strategy (Rng.for_path ~seed ~path:0)
-               ~goal:g)
-        in
-        let compiled =
-          Path.generate_compiled c s q cfg strategy (Rng.for_path ~seed ~path:0)
-        in
-        let show = function
-          | Ok v -> Path.verdict_to_string v
-          | Error e -> Path.error_to_string e
-        in
-        if compare interp compiled <> 0 then
-          Alcotest.failf "%s (%s, seed %Ld): interpreted %s vs compiled %s" name
-            (Strategy.to_string strategy)
-            seed (show interp) (show compiled)
+        for path = 0 to paths - 1 do
+          let interp =
+            fst
+              (Path.generate ?hold net cfg strategy (Rng.for_path ~seed ~path)
+                 ~goal:g)
+          in
+          let compiled =
+            Path.generate_compiled c s q cfg strategy (Rng.for_path ~seed ~path)
+          in
+          let show = function
+            | Ok v -> Path.verdict_to_string v
+            | Error e -> Path.error_to_string e
+          in
+          if compare interp compiled <> 0 then
+            Alcotest.failf
+              "%s (%s, seed %Ld, path %d): interpreted %s vs compiled %s" name
+              (Strategy.to_string strategy)
+              seed path (show interp) (show compiled)
+        done
       done)
     strategies
 
@@ -248,6 +255,217 @@ let test_verdicts_queue_until () =
   check_verdict_stream ~name:"mm1k until" ~hold_src:"q <= 3" ~goal_src:"q = 5"
     ~horizon:50.0 ~seeds:10
     (Slimsim_models.Queue_model.source ~arrival:0.8 ~service:0.5 ~capacity:5)
+
+(* The bundled models, read from [examples/models]. *)
+let bundled_models () =
+  let dir = "../examples/models" in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".slim")
+  |> List.sort compare
+  |> List.map (fun f ->
+         (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+
+let test_verdicts_mm1k_priced () =
+  (* The flow [waiting := w] reads a continuous variable, so it is
+     stale after every delay until the next discrete step refreshes it;
+     the goal reads the flow target. *)
+  let src = List.assoc "mm1k_priced.slim" (bundled_models ()) in
+  check_verdict_stream ~name:"mm1k priced" ~goal_src:"waiting >= 6.0"
+    ~horizon:100.0 ~seeds:2 src
+
+(* A worker restarted whenever its parent re-enters [on]: its owned
+   clock [w], counter [k] and flow target [elapsed] reset to their
+   initial values, and the parent's flows read [elapsed].  No bundled
+   model uses [restart], so this is the only coverage of the flow pass
+   that follows a restart. *)
+let restart_model =
+  {|
+device Worker
+features
+  done_flag: out data port bool := false;
+  elapsed: out data port real;
+end Worker;
+device implementation Worker.I
+subcomponents
+  w: data clock;
+  k: data int [0, 9] := 0;
+flows
+  elapsed := w + k;
+modes
+  busy: initial mode while w <= 4.0;
+  finished: mode;
+transitions
+  busy -[when w >= 3.0 then done_flag := true; k := min(k + 1, 9)]-> finished;
+  finished -[rate 2.0 then done_flag := false; w := 0]-> busy;
+end Worker.I;
+
+system Main
+features
+  progress: out data port real;
+  late: out data port bool;
+end Main;
+system implementation Main.Imp
+subcomponents
+  worker: device Worker.I in modes (on) restart;
+flows
+  progress := worker.elapsed * 2.0;
+  late := progress > 5.0;
+modes
+  on: initial mode;
+  off: mode;
+transitions
+  on -[rate 0.4]-> off;
+  off -[rate 1.0]-> on;
+end Main.Imp;
+
+root Main.Imp;
+|}
+
+let test_verdicts_restart () =
+  check_verdict_stream ~name:"restart" ~goal_src:"progress > 14.0"
+    ~horizon:40.0 ~seeds:2 restart_model
+
+(* ------------------------------------------------------------------ *)
+(* State-level lockstep: every compiled move against [Moves.apply]     *)
+
+module State = Slimsim_sta.State
+module Moves = Slimsim_sta.Moves
+module Network = Slimsim_sta.Network
+
+let same_state what (want : State.t) (got : State.t) =
+  if
+    want.State.locs <> got.State.locs
+    || compare want.State.vals got.State.vals <> 0
+    || not (float_equal want.State.time got.State.time)
+  then Alcotest.failf "%s: compiled state differs from the interpreter's" what
+
+(* "Every flow target equals its expression": stale after a delay that
+   moves a flow's inputs, so it tells a refreshed target from a stale
+   one. *)
+let flows_fresh (net : Network.t) =
+  Array.fold_left
+    (fun acc (f : Network.flow) ->
+      Expr.and_ acc (Expr.Binop (Expr.Eq, Expr.Var f.target, f.expr)))
+    Expr.true_ net.Network.flows
+
+(* Random walks that drive the compiled core through the same call
+   sequences as [Path.generate_compiled] — a delay firing advances
+   once, trials [enabled_after], then applies at delay 0; a Markov
+   firing applies with its delay — and compare the whole state,
+   including every flow target, with the interpreter after each call.
+   A verdict stream cannot see a stale flow target that no goal or
+   guard reads. *)
+let lockstep ~name net ~walks ~steps =
+  let c = Compiled.compile net in
+  let s = Compiled.scratch c in
+  let rng = Random.State.make [| 7 |] in
+  let fresh = flows_fresh net in
+  let fresh_c = Compiled.compile_bool fresh in
+  let pick_delay w =
+    let w =
+      if I.is_bounded w then w
+      else
+        match I.inf w with
+        | I.Fin (lo, _) -> I.clamp_above (lo +. 10.0) w
+        | _ -> I.clamp_above 10.0 w
+    in
+    I.sample_uniform (fun x -> Random.State.float rng x) w
+  in
+  let delay_firings = ref 0 and markov_firings = ref 0 in
+  for walk = 1 to walks do
+    let where k what = Printf.sprintf "%s walk %d step %d: %s" name walk k what in
+    Compiled.reset c s;
+    same_state (where 0 "reset") (State.initial net) (Compiled.to_state c s);
+    let rec go k =
+      if k <= steps then begin
+        let pre = Compiled.to_state c s in
+        Compiled.set_rates c s;
+        let inv_win = Compiled.invariant_window c s in
+        let timed = Compiled.discrete c s inv_win in
+        if
+          compare (List.map (fun t -> t.Moves.move) timed)
+            (List.map (fun t -> t.Moves.move) (Moves.discrete net pre))
+          <> 0
+        then Alcotest.failf "%s" (where k "discrete moves differ");
+        let markov = Compiled.markovian c s in
+        let n_t = List.length timed and n_m = List.length markov in
+        if n_t + n_m > 0 then begin
+          let i = Random.State.int rng (n_t + n_m) in
+          let window =
+            if i < n_t then (List.nth timed i).Moves.window else inv_win
+          in
+          match pick_delay window with
+          | None -> ()
+          | Some d ->
+            let advanced = State.advance net pre d in
+            if
+              Compiled.eval_bool_after c s ~cap:d fresh_c
+              <> State.eval_bool advanced fresh
+            then Alcotest.failf "%s" (where k "eval_bool_after differs");
+            same_state (where k "after eval_bool_after") pre (Compiled.to_state c s);
+            if i < n_t then begin
+              let move = (List.nth timed i).Moves.move in
+              Compiled.advance c s d;
+              same_state (where k "advance") advanced (Compiled.to_state c s);
+              if
+                compare (Compiled.enabled_after c s d timed)
+                  (Moves.enabled_after net pre d timed)
+                <> 0
+              then Alcotest.failf "%s" (where k "enabled_after differs");
+              same_state (where k "after trials") advanced (Compiled.to_state c s);
+              Compiled.apply c s move;
+              incr delay_firings;
+              same_state (where k "delay firing")
+                (Moves.apply net pre ~delay:d move)
+                (Compiled.to_state c s)
+            end
+            else begin
+              let p, tr, _ = List.nth markov (i - n_t) in
+              let move = Moves.Local { proc = p; tr } in
+              Compiled.apply c s ~delay:d move;
+              incr markov_firings;
+              same_state (where k "Markov firing")
+                (Moves.apply net pre ~delay:d move)
+                (Compiled.to_state c s)
+            end;
+            go (k + 1)
+        end
+      end
+    in
+    go 1
+  done;
+  (* A walk ends early only in a state with no move or an empty window;
+     every model must get well past its initial state. *)
+  if !delay_firings + !markov_firings < walks then
+    Alcotest.failf "%s: the walks made only %d moves" name
+      (!delay_firings + !markov_firings)
+
+let test_lockstep () =
+  List.iter
+    (fun (name, src) -> lockstep ~name (load src) ~walks:20 ~steps:60)
+    (("restart", restart_model) :: bundled_models ())
+
+(* The flow cone rests on this order: [Network.make] sorts the flows so
+   that each reads only variables that no flow targets or that earlier
+   flows target. *)
+let test_flow_order () =
+  List.iter
+    (fun (name, src) ->
+      let net = load src in
+      let written = Hashtbl.create 16 in
+      Array.iter (fun (f : Network.flow) -> Hashtbl.replace written f.target ()) net.flows;
+      let seen = Hashtbl.create 16 in
+      Array.iteri
+        (fun i (f : Network.flow) ->
+          List.iter
+            (fun v ->
+              if Hashtbl.mem written v && not (Hashtbl.mem seen v) then
+                Alcotest.failf "%s: flow %d reads %s before its flow ran" name i
+                  (Network.var_name net v))
+            (Expr.free_vars f.expr);
+          Hashtbl.replace seen f.target ())
+        net.flows)
+    (("restart", restart_model) :: bundled_models ())
 
 (* ------------------------------------------------------------------ *)
 (* Engine-level equality and the error/violation accounting            *)
@@ -420,6 +638,10 @@ let suite =
       test_verdicts_sensor_filter_timed;
     Alcotest.test_case "verdicts: launcher" `Slow test_verdicts_launcher;
     Alcotest.test_case "verdicts: until on mm1k" `Quick test_verdicts_queue_until;
+    Alcotest.test_case "verdicts: mm1k priced" `Quick test_verdicts_mm1k_priced;
+    Alcotest.test_case "verdicts: restart" `Quick test_verdicts_restart;
+    Alcotest.test_case "state lockstep with Moves.apply" `Quick test_lockstep;
+    Alcotest.test_case "flows in reader-after-writer order" `Quick test_flow_order;
     Alcotest.test_case "engine equality" `Slow test_engine_equality;
     Alcotest.test_case "violated paths counted" `Quick test_violated_paths_counted;
     Alcotest.test_case "error policy" `Quick test_error_policy;
