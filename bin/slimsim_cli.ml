@@ -17,6 +17,7 @@ module Diag = Slimsim_analyze.Diagnostic
 module Metrics = Slimsim_obs.Metrics
 module Log = Slimsim_obs.Log
 module Json = Slimsim_obs.Json
+module Coordinator = Slimsim_dist.Coordinator
 
 let version = S.tool_version
 
@@ -420,8 +421,10 @@ let simulate_cmd =
              single-process run at the same seed, under any worker count \
              and any failure schedule.  Workers that die or stall are \
              respawned with backoff up to --max-restarts, then \
-             quarantined.  Skips the qualitative pre-pass; --buffer sets \
-             the verdicts-per-batch frame size.")
+             quarantined.  The qualitative pre-pass runs first, as for an \
+             in-process run: a certified property is answered exactly and \
+             no worker is spawned.  --buffer sets the verdicts-per-batch \
+             frame size.")
   and worker_cmd =
     Arg.(
       value
@@ -488,28 +491,31 @@ let simulate_cmd =
       teardown ();
       exit code
     in
-    (* -p takes the classic property path; --query additionally accepts
-       the priced-STA cost forms, and a plain probability given via
-       --query behaves exactly like -p. *)
-    let query_form =
+    (* -p takes the classic property grammar; --query additionally
+       accepts the priced-STA cost forms, and a plain probability given
+       via --query behaves exactly like -p.  A malformed --query is a
+       usage error, reported before the model loads. *)
+    let grammar, src =
       match (prop, query) with
       | Some _, Some _ ->
         die 1 "slimsim: use exactly one of -p/--property and --query"
       | None, None ->
         die 1 "slimsim: a property is required: -p PROP or --query QUERY"
-      | Some p, None -> `Prop p
-      | None, Some q -> (
-        match Slimsim_props.Pattern.parse_query q with
-        | Error e -> die 1 ("slimsim: " ^ e)
-        | Ok (Slimsim_props.Pattern.Prob _) -> `Prop q
-        | Ok _ -> `Cost q)
+      | Some p, None -> (`Property, p)
+      | None, Some q -> (`Query, q)
     in
-    let prop_src = match query_form with `Prop p | `Cost p -> p in
+    let parsed = S.parse grammar src in
+    (match (grammar, parsed) with
+    | `Query, Error e -> die 1 ("slimsim: " ^ e)
+    | _ -> ());
     let m =
       match load file with Ok m -> m | Error e -> die 1 e
     in
     advisory_lint ~no_lint file m;
     let on_deadlock = if deadlock_error then `Error else `Falsify in
+    let engine_name =
+      match engine with `Compiled -> "compiled" | `Interpreted -> "interpreted"
+    in
     if resume && checkpoint = None then
       die 1 "slimsim: --resume requires --checkpoint FILE";
     let checkpoint =
@@ -533,231 +539,156 @@ let simulate_cmd =
     Log.emit ~event:"campaign_start"
       [
         ("model", Json.String file);
-        ("property", Json.String prop_src);
+        ("property", Json.String src);
         ("strategy", Json.String (Strategy.to_string strategy));
         ("delta", Json.Float delta);
         ("eps", Json.Float eps);
         ("workers", Json.Int workers);
         ("seed", Json.String (Int64.to_string seed));
         ("generator", Json.String (S.Generator.kind_to_string generator));
-        ( "engine",
-          Json.String
-            (match engine with
-            | `Compiled -> "compiled"
-            | `Interpreted -> "interpreted") );
+        ("engine", Json.String engine_name);
         ( "on_divergence",
           Json.String
             (Slimsim_sim.Supervisor.divergence_policy_to_string on_divergence)
         );
       ];
-    match query_form with
-    | `Cost qsrc ->
-      (* Cost queries run in one process: distribution workers exchange
-         plain probability estimates and have no channel for a cost
-         accumulator. *)
-      if distribute <> None then
-        die 1
-          "slimsim: cost queries are not supported with --distribute; run \
-           them in a single process";
-      (match
-         S.check_cost ~workers ~seed ~generator ~on_deadlock ~engine ~on_error
-           ~supervisor ?progress ~max_steps ?max_sim_time ?max_wall_per_path
-           ~prepass:(not no_prepass) m ~query:qsrc ~strategy ~delta ~eps ()
-       with
-      | Error e ->
-        Log.emit ~event:"campaign_error" [ ("error", Json.String e) ];
-        die 1 e
-      | Ok outcome ->
-        Fmt.pr "%a@." S.pp_cost_outcome outcome;
-        (match outcome with
-        | S.Cost_distribution r ->
-          Fmt.pr "%a" Slimsim_sim.Cost_run.pp_distribution r
-        | _ -> ());
-        let interrupted, paths, half =
-          match outcome with
-          | S.Cost_probability e ->
-            (e.S.interrupted, e.S.paths, (e.S.ci_high -. e.S.ci_low) /. 2.0)
-          | S.Cost_expected r | S.Cost_distribution r ->
-            let c = r.Slimsim_sim.Cost_run.reach in
-            ( c.Slimsim_sim.Campaign.stopped = Slimsim_sim.Campaign.Interrupted,
-              c.Slimsim_sim.Campaign.paths,
-              (r.Slimsim_sim.Cost_run.cost_ci_high
-              -. r.Slimsim_sim.Cost_run.cost_ci_low)
-              /. 2.0 )
-        in
-        if interrupted then begin
-          Log.warn
-            ~fields:
-              [
-                ("source", Json.String "interrupt");
-                ("paths", Json.Int paths);
-                ("achieved_half_width", Json.Float half);
-                ("requested_eps", Json.Float eps);
-              ]
-            (Printf.sprintf
-               "interrupted after %d paths; achieved half-width %.6f \
-                (requested %g)"
-               paths half eps);
-          teardown ();
-          exit 4
-        end
-        else teardown ())
-    | `Prop prop -> (
-    match distribute with
-    | Some nworkers ->
-      let module Coordinator = Slimsim_dist.Coordinator in
-      let module SimC = Slimsim_sim.Campaign in
-      if nworkers < 1 then die 1 "slimsim: --distribute must be >= 1";
-      (* validate the property here for an early, local error; workers
-         re-parse it themselves and reject a bad handshake anyway *)
-      (match S.parse_property m prop with
-      | Ok _ -> ()
-      | Error e -> die 1 ("slimsim: " ^ e));
-      let complement =
-        match Slimsim_props.Pattern.parse prop with
-        | Ok pat -> pat.Slimsim_props.Pattern.complement
-        | Error e -> die 1 ("slimsim: " ^ e)
-      in
-      let source =
-        try In_channel.with_open_bin file In_channel.input_all
-        with Sys_error e -> die 1 e
-      in
-      let worker_argv =
-        match worker_cmd with
-        (* exec so signals reach the worker, not an intermediate shell *)
-        | Some cmd -> [| "/bin/sh"; "-c"; "exec " ^ cmd |]
-        | None -> [| Sys.executable_name; "work" |]
-      in
-      let cfg =
-        try
-          Coordinator.config ~workers:nworkers ~worker_cmd:worker_argv
-            ~lease_size:lease ~batch:buffer ~heartbeat:dist_heartbeat
-            ~liveness:dist_liveness ~chaos ()
-        with Invalid_argument e -> die 1 ("slimsim: " ^ e)
-      in
-      let job =
-        {
-          Coordinator.model_source = source;
-          property = prop;
-          strategy = Strategy.to_string strategy;
-          engine =
-            (match engine with
-            | `Compiled -> "compiled"
-            | `Interpreted -> "interpreted");
-          seed;
-          on_error;
-          max_steps;
-          max_sim_time;
-          max_wall_per_path;
-          on_deadlock = (if deadlock_error then "error" else "falsify");
-        }
-      in
-      let gen = S.Generator.create generator ~delta ~eps in
-      (match Coordinator.run ~supervisor ?progress cfg job ~generator:gen with
-      | Error e ->
-        let e = Slimsim_sim.Path.error_to_string e in
-        Log.emit ~event:"campaign_error" [ ("error", Json.String e) ];
-        die 1 e
-      | Ok o ->
-        let r = o.Coordinator.result in
-        let pr, lo, hi =
-          if complement then
-            ( 1.0 -. r.SimC.probability,
-              1.0 -. r.SimC.ci_high,
-              1.0 -. r.SimC.ci_low )
-          else (r.SimC.probability, r.SimC.ci_low, r.SimC.ci_high)
-        in
-        let est =
-          {
-            S.probability = pr;
-            ci_low = lo;
-            ci_high = hi;
-            paths = r.SimC.paths;
-            successes = r.SimC.successes;
-            deadlock_paths = r.SimC.deadlock_paths;
-            violated_paths = r.SimC.violated_paths;
-            errors = r.SimC.errors;
-            diverged_paths = r.SimC.diverged_paths;
-            dropped_paths = r.SimC.dropped_paths;
-            worker_restarts = r.SimC.worker_restarts;
-            interrupted = r.SimC.stopped = SimC.Interrupted;
-            wall_seconds = r.SimC.wall_seconds;
-            certificate = None;
-          }
-        in
-        Fmt.pr "%a@." S.pp_estimate est;
-        Log.emit ~event:"dist_summary"
-          [
-            ("workers", Json.Int nworkers);
-            ("leases_granted", Json.Int o.Coordinator.leases_granted);
-            ("leases_reassigned", Json.Int o.Coordinator.leases_reassigned);
-            ("duplicate_paths", Json.Int o.Coordinator.duplicate_paths);
-            ("frames_rejected", Json.Int o.Coordinator.frames_rejected);
-            ("heartbeats_missed", Json.Int o.Coordinator.heartbeats_missed);
-            ("quarantined", Json.Int o.Coordinator.quarantined);
-          ];
-        if o.Coordinator.all_lost then begin
-          Log.warn
-            ~fields:
-              [
-                ("source", Json.String "distribute");
-                ("paths", Json.Int est.S.paths);
-                ("quarantined", Json.Int o.Coordinator.quarantined);
-              ]
-            (Printf.sprintf
-               "every worker exhausted its restart budget; partial estimate \
-                after %d paths"
-               est.S.paths);
-          teardown ();
-          exit 5
-        end
-        else if est.S.interrupted then begin
-          let half = (est.S.ci_high -. est.S.ci_low) /. 2.0 in
-          Log.warn
-            ~fields:
-              [
-                ("source", Json.String "interrupt");
-                ("paths", Json.Int est.S.paths);
-                ("achieved_half_width", Json.Float half);
-                ("requested_eps", Json.Float eps);
-              ]
-            (Printf.sprintf
-               "interrupted after %d paths; achieved half-width %.6f \
-                (requested %g)"
-               est.S.paths half eps);
-          teardown ();
-          exit 4
-        end
-        else teardown ())
-    | None -> (
-    match
-      S.check ~workers ~seed ~generator ~on_deadlock ~engine ~on_error
-        ~supervisor ?progress ~max_steps ?max_sim_time ?max_wall_per_path
-        ~prepass:(not no_prepass) m ~property:prop ~strategy ~delta ~eps ()
-    with
-    | Ok r ->
-      Fmt.pr "%a@." S.pp_estimate r;
-      if r.S.interrupted then begin
-        let half = (r.S.ci_high -. r.S.ci_low) /. 2.0 in
-        Log.warn
-          ~fields:
-            [
-              ("source", Json.String "interrupt");
-              ("paths", Json.Int r.S.paths);
-              ("achieved_half_width", Json.Float half);
-              ("requested_eps", Json.Float eps);
-            ]
-          (Printf.sprintf
-             "interrupted after %d paths; achieved half-width %.6f (requested \
-              %g)"
-             r.S.paths half eps);
-        teardown ();
-        exit 4
-      end
-      else teardown ()
-    | Error e ->
+    let fail e =
       Log.emit ~event:"campaign_error" [ ("error", Json.String e) ];
-      die 1 e))
+      die 1 e
+    in
+    (match (parsed, distribute) with
+    | Ok (Slimsim_props.Pattern.Prob _), _ | Error _, _ | _, None -> ()
+    | Ok _, Some _ ->
+      (* Distribution workers exchange plain verdicts and have no
+         channel for a cost accumulator. *)
+      die 1
+        "slimsim: cost queries are not supported with --distribute; run \
+         them in a single process");
+    (match distribute with
+    | Some n when n < 1 -> die 1 "slimsim: --distribute must be >= 1"
+    | _ -> ());
+    let plan =
+      match
+        Result.bind parsed
+          (S.plan ~max_steps ?max_sim_time ?max_wall_per_path ~on_deadlock m)
+      with
+      | Ok p -> p
+      (* the coordinator reports an unusable property as a usage error *)
+      | Error e when distribute <> None -> die 1 ("slimsim: " ^ e)
+      | Error e -> fail e
+    in
+    (* One pre-pass, then a transport: in-process domains or worker
+       processes ([dist] is the coordinator's outcome). *)
+    let outcome, dist =
+      match S.certify ~prepass:(not no_prepass) m plan ~strategy with
+      | Error e -> fail e
+      | Ok (Some e) -> (S.Cost_probability e, None)
+      | Ok None -> (
+        match distribute with
+        | None -> (
+          match
+            S.sample ~workers ~seed ~generator ~engine ~on_error ~supervisor
+              ?progress m plan ~strategy ~delta ~eps ()
+          with
+          | Ok o -> (o, None)
+          | Error e -> fail e)
+        | Some nworkers -> (
+          let source =
+            try In_channel.with_open_bin file In_channel.input_all
+            with Sys_error e -> die 1 e
+          in
+          let worker_argv =
+            match worker_cmd with
+            (* exec so signals reach the worker, not an intermediate shell *)
+            | Some cmd -> [| "/bin/sh"; "-c"; "exec " ^ cmd |]
+            | None -> [| Sys.executable_name; "work" |]
+          in
+          let cfg =
+            try
+              Coordinator.config ~workers:nworkers ~worker_cmd:worker_argv
+                ~lease_size:lease ~batch:buffer ~heartbeat:dist_heartbeat
+                ~liveness:dist_liveness ~chaos ()
+            with Invalid_argument e -> die 1 ("slimsim: " ^ e)
+          in
+          let job =
+            {
+              Coordinator.model_source = source;
+              property = src;
+              strategy = Strategy.to_string strategy;
+              engine = engine_name;
+              seed;
+              on_error;
+              max_steps;
+              max_sim_time;
+              max_wall_per_path;
+              on_deadlock = (if deadlock_error then "error" else "falsify");
+            }
+          in
+          let gen = S.Generator.create generator ~delta ~eps in
+          match Coordinator.run ~supervisor ?progress cfg job ~generator:gen with
+          | Error e -> fail (Slimsim_sim.Path.error_to_string e)
+          | Ok o ->
+            Log.emit ~event:"dist_summary"
+              [
+                ("workers", Json.Int nworkers);
+                ("leases_granted", Json.Int o.Coordinator.leases_granted);
+                ("leases_reassigned", Json.Int o.Coordinator.leases_reassigned);
+                ("duplicate_paths", Json.Int o.Coordinator.duplicate_paths);
+                ("frames_rejected", Json.Int o.Coordinator.frames_rejected);
+                ("heartbeats_missed", Json.Int o.Coordinator.heartbeats_missed);
+                ("quarantined", Json.Int o.Coordinator.quarantined);
+              ];
+            ( S.Cost_probability
+                (S.estimate_of_result ~complement:plan.S.complement
+                   o.Coordinator.result),
+              Some o )))
+    in
+    Fmt.pr "%a@." S.pp_cost_outcome outcome;
+    (match outcome with
+    | S.Cost_distribution r -> Fmt.pr "%a" Slimsim_sim.Cost_run.pp_distribution r
+    | _ -> ());
+    let interrupted, paths, half =
+      match outcome with
+      | S.Cost_probability e ->
+        (e.S.interrupted, e.S.paths, (e.S.ci_high -. e.S.ci_low) /. 2.0)
+      | S.Cost_expected r | S.Cost_distribution r ->
+        let c = r.Slimsim_sim.Cost_run.reach in
+        ( c.Slimsim_sim.Campaign.stopped = Slimsim_sim.Campaign.Interrupted,
+          c.Slimsim_sim.Campaign.paths,
+          (r.Slimsim_sim.Cost_run.cost_ci_high
+          -. r.Slimsim_sim.Cost_run.cost_ci_low)
+          /. 2.0 )
+    in
+    match dist with
+    | Some o when o.Coordinator.all_lost ->
+      Log.warn
+        ~fields:
+          [
+            ("source", Json.String "distribute");
+            ("paths", Json.Int paths);
+            ("quarantined", Json.Int o.Coordinator.quarantined);
+          ]
+        (Printf.sprintf
+           "every worker exhausted its restart budget; partial estimate after \
+            %d paths"
+           paths);
+      teardown ();
+      exit 5
+    | _ when interrupted ->
+      Log.warn
+        ~fields:
+          [
+            ("source", Json.String "interrupt");
+            ("paths", Json.Int paths);
+            ("achieved_half_width", Json.Float half);
+            ("requested_eps", Json.Float eps);
+          ]
+        (Printf.sprintf
+           "interrupted after %d paths; achieved half-width %.6f (requested %g)"
+           paths half eps);
+      teardown ();
+      exit 4
+    | _ -> teardown ()
   in
   Cmd.v
     (Cmd.info "simulate"

@@ -23,17 +23,6 @@ let ( let* ) = Result.bind
 let enum_lookup (m : model) x =
   Option.map snd (Slimsim_slim.Sema.enum_literal m.Loader.tables x)
 
-let parse_pattern_full (m : model) src =
-  let* pat = Pattern.parse src in
-  let* goal, hold, horizon =
-    Pattern.resolve ~enum:(enum_lookup m) m.Loader.network pat
-  in
-  Ok (goal, hold, horizon, pat.Pattern.complement)
-
-let parse_property (m : model) src =
-  let* goal, hold, horizon, _ = parse_pattern_full m src in
-  Ok (goal, hold, horizon)
-
 type estimate = {
   probability : float;
   ci_low : float;
@@ -51,6 +40,71 @@ type estimate = {
   certificate : string option;
 }
 
+module Cost_run = Slimsim_sim.Cost_run
+
+type cost_outcome =
+  | Cost_probability of estimate
+  | Cost_expected of Cost_run.result
+  | Cost_distribution of Cost_run.result
+
+(* --- the query plan: one parse, one resolution, one path config --- *)
+
+type plan = {
+  query : Pattern.query;
+  goal : Slimsim_sta.Expr.t;
+  hold : Slimsim_sta.Expr.t option;
+  horizon : float;
+  complement : bool;
+  cost : (int * string) option;
+  config : Path.config;
+}
+
+(* [`Property] is the classic grammar of [-p] and [~property] (its
+   diagnostics included); [`Query] adds the priced-STA cost forms. *)
+let parse grammar src =
+  match grammar with
+  | `Property -> Result.map (fun p -> Pattern.Prob p) (Pattern.parse src)
+  | `Query -> Pattern.parse_query src
+
+let plan ?max_steps ?max_sim_time ?max_wall_per_path ?(on_deadlock = `Falsify)
+    (m : model) query =
+  let enum = enum_lookup m and net = m.Loader.network in
+  let* goal, hold, horizon, complement, cost =
+    match query with
+    | Pattern.Prob p ->
+      let* goal, hold, horizon = Pattern.resolve ~enum net p in
+      Ok (goal, hold, horizon, p.Pattern.complement, None)
+    | Pattern.Cost_reach { cost_src; cost_bound; goal_src } ->
+      (* Cost-bounded reachability is bounded until in cost space: hold
+         [c <= C], no time bound (the watchdog budgets backstop paths
+         whose cost observer stalls below the bound). *)
+      let module Expr = Slimsim_sta.Expr in
+      let* cv = Pattern.resolve_cost ~enum net cost_src in
+      let* goal = Loader.parse_goal ~enum net goal_src in
+      let hold = Expr.Binop (Expr.Le, Expr.var cv, Expr.real cost_bound) in
+      Ok (goal, Some hold, infinity, false, None)
+    | Pattern.Cost_expect { cost_src; prob } | Pattern.Cost_dist { cost_src; prob }
+      ->
+      let* cv = Pattern.resolve_cost ~enum net cost_src in
+      let* goal, hold, horizon = Pattern.resolve ~enum net prob in
+      Ok (goal, hold, horizon, false, Some (cv, Pattern.query_to_string query))
+  in
+  let base = Path.default_config ~horizon in
+  let max_steps = Option.value max_steps ~default:base.Path.max_steps in
+  let config =
+    { base with Path.max_steps; max_sim_time; max_wall_per_path; on_deadlock }
+  in
+  Ok { query; goal; hold; horizon; complement; cost; config }
+
+let plan_of ?max_steps ?max_sim_time ?max_wall_per_path ?on_deadlock grammar m
+    src =
+  let* query = parse grammar src in
+  plan ?max_steps ?max_sim_time ?max_wall_per_path ?on_deadlock m query
+
+let parse_property (m : model) src =
+  let* p = plan_of `Property m src in
+  Ok (p.goal, p.hold, p.horizon)
+
 (* --- the qualitative pre-pass (§II-C) --- *)
 
 module Prepass = Slimsim_analyze.Prepass
@@ -64,9 +118,9 @@ let certificate_of ~complement (outcome : Prepass.outcome) =
   | _ -> None
 
 let prepass ?max_nodes (m : model) ~property =
-  let* goal, hold, _horizon, complement = parse_pattern_full m property in
-  let report = Prepass.analyze ?max_nodes ?hold m.Loader.network ~goal in
-  Ok (report, complement)
+  let* p = plan_of `Property m property in
+  Ok (Prepass.analyze ?max_nodes ?hold:p.hold m.Loader.network ~goal:p.goal,
+      p.complement)
 
 (* Property-directed lint: turn a conclusive pre-pass into an I002
    (statically certain) or I003 (statically vacuous) diagnostic.  A raw
@@ -109,48 +163,107 @@ let lint_property ?max_nodes (m : model) ~property =
       ]
     | _ -> [])
 
+let prepass_metric result =
+  if Slimsim_obs.Metrics.enabled () then
+    Slimsim_obs.Metrics.incr
+      (Slimsim_obs.Metrics.counter ~labels:[ ("result", result) ]
+         "slimsim_prepass_total"
+         ~help:"pre-pass runs by result (p0 / p1 / inconclusive)")
+
+(* The qualitative shortcut shared by every front end and transport.
+   The Scripted strategy hands control to a user callback (which may
+   Abort or Advance arbitrarily), so certificates about the measure of
+   all runs must not preempt it. *)
+let certify ~prepass (m : model) p ~strategy =
+  let scripted = match strategy with Strategy.Scripted _ -> true | _ -> false in
+  if not (prepass && not scripted) then Ok None
+  else begin
+    let report = Prepass.analyze ?hold:p.hold m.Loader.network ~goal:p.goal in
+    let answer =
+      match report.Prepass.outcome with
+      | Prepass.P0 _ -> Some 0.0
+      | Prepass.P1 { depth; _ }
+      (* All runs reach the goal within [depth] delay-free moves at
+         elapsed time 0, so no step / sim-time budget with room for
+         [depth] steps can reclassify them; a wall-clock watchdog
+         could, so its presence disables the shortcut. *)
+        when depth < p.config.Path.max_steps
+             && p.config.Path.max_wall_per_path = None ->
+        Some 1.0
+      | _ -> None
+    in
+    let result =
+      match report.Prepass.outcome with
+      | Prepass.P0 _ -> "p0"
+      | Prepass.P1 _ -> "p1"
+      | Prepass.Inconclusive _ -> "inconclusive"
+    in
+    prepass_metric (if answer = None then "inconclusive" else result);
+    Slimsim_obs.Log.emit ~event:"prepass"
+      [
+        ("result", Slimsim_obs.Json.String result);
+        ("shortcut", Slimsim_obs.Json.Bool (answer <> None));
+        ("wall_seconds", Slimsim_obs.Json.Float report.Prepass.wall_seconds);
+      ];
+    match (answer, p.query) with
+    | None, _ -> Ok None
+    (* A P=0 certificate means no path ever reaches the goal: the
+       conditional expectation is undefined and sampling can only
+       stall.  A P=1 certificate does NOT shortcut — the cost values
+       still have to be sampled. *)
+    | Some 0.0, (Pattern.Cost_expect { prob; _ } | Pattern.Cost_dist { prob; _ })
+      ->
+      Error
+        (Printf.sprintf
+           "expected cost undefined: the pre-pass certifies P = 0 for %s — \
+            no path ever reaches the goal"
+           (Pattern.to_string prob))
+    | Some _, (Pattern.Cost_expect _ | Pattern.Cost_dist _) -> Ok None
+    | Some p_raw, (Pattern.Prob _ | Pattern.Cost_reach _) ->
+      (* Exact answer, no sampling: the certificate stands in for the
+         whole campaign, complement-mapped like an estimated one. *)
+      let pr = if p.complement then 1.0 -. p_raw else p_raw in
+      Ok
+        (Some
+           {
+             probability = pr;
+             ci_low = pr;
+             ci_high = pr;
+             paths = 0;
+             successes = 0;
+             deadlock_paths = 0;
+             violated_paths = 0;
+             errors = 0;
+             diverged_paths = 0;
+             dropped_paths = 0;
+             worker_restarts = 0;
+             interrupted = false;
+             wall_seconds = report.Prepass.wall_seconds;
+             certificate = certificate_of ~complement:p.complement report.Prepass.outcome;
+           })
+  end
+
 (* --- campaigns as values (the serve-mode workhorse) --- *)
 
-type prepared = {
-  campaign : Campaign.t;
-  complement : bool;
-  horizon : float;
-}
+type prepared = { campaign : Campaign.t; plan : plan }
 
-let make_config ?max_steps ?max_sim_time ?max_wall_per_path ~on_deadlock
-    ~horizon () =
-  let base = { (Path.default_config ~horizon) with Path.on_deadlock } in
-  {
-    base with
-    Path.max_steps =
-      (match max_steps with Some n -> n | None -> base.Path.max_steps);
-    max_sim_time;
-    max_wall_per_path;
-  }
-
-let prepare ?workers ?seed ?(generator = Generator.Chernoff)
-    ?(on_deadlock = `Falsify) ?engine ?on_error ?supervisor ?progress
-    ?max_steps ?max_sim_time ?max_wall_per_path ?compiled (m : model)
-    ~property ~strategy ~delta ~eps () =
-  let* goal, hold, horizon, complement = parse_pattern_full m property in
-  let gen = Generator.create generator ~delta ~eps in
-  let config =
-    make_config ?max_steps ?max_sim_time ?max_wall_per_path ~on_deadlock
-      ~horizon ()
-  in
+let prepare ?workers ?seed ?(generator = Generator.Chernoff) ?engine ?on_error
+    ?supervisor ?progress ?compiled (m : model) p ~strategy ~delta ~eps () =
   match
-    Campaign.create ?workers ?seed ~config ?engine ?on_error ?hold ?supervisor
-      ?progress ?compiled m.Loader.network ~goal ~horizon ~strategy
-      ~generator:gen ()
+    Campaign.create ?workers ?seed ~config:p.config ?engine ?on_error ?hold:p.hold
+      ?supervisor ?progress ?compiled ?cost:p.cost m.Loader.network ~goal:p.goal
+      ~horizon:p.horizon ~strategy
+      ~generator:(Generator.create generator ~delta ~eps)
+      ()
   with
-  | Ok c -> Ok { campaign = c; complement; horizon }
+  | Ok campaign -> Ok { campaign; plan = p }
   | Error e -> Error (Path.error_to_string e)
 
 (* invariance patterns report the complement; "successes" keeps counting
    the paths that reached the negated goal *)
-let estimate_of_result p (r : Campaign.result) =
+let estimate_of_result ~complement (r : Campaign.result) =
   let pr, lo, hi =
-    if p.complement then
+    if complement then
       (1.0 -. r.Campaign.probability, 1.0 -. r.Campaign.ci_high,
        1.0 -. r.Campaign.ci_low)
     else (r.Campaign.probability, r.Campaign.ci_low, r.Campaign.ci_high)
@@ -172,226 +285,56 @@ let estimate_of_result p (r : Campaign.result) =
     certificate = None;
   }
 
-let prepass_metric result =
-  if Slimsim_obs.Metrics.enabled () then
-    Slimsim_obs.Metrics.incr
-      (Slimsim_obs.Metrics.counter ~labels:[ ("result", result) ]
-         "slimsim_prepass_total"
-         ~help:"pre-pass runs by result (p0 / p1 / inconclusive)")
-
-(* The qualitative shortcut shared by every checking front-end: [Some
-   (p, report)] when the skeleton pre-pass answers the property exactly.
-   The Scripted strategy hands control to a user callback (which may
-   Abort or Advance arbitrarily), so certificates about the measure of
-   all runs must not preempt it. *)
-let prepass_shortcut ~prepass ~strategy ?hold ~config ~max_wall_per_path
-    (m : model) ~goal =
-  let scripted = match strategy with Strategy.Scripted _ -> true | _ -> false in
-  if not (prepass && not scripted) then None
-  else begin
-    let report = Prepass.analyze ?hold m.Loader.network ~goal in
-    let answer =
-      match report.Prepass.outcome with
-      | Prepass.P0 _ -> Some 0.0
-      | Prepass.P1 { depth; _ }
-      (* All runs reach the goal within [depth] delay-free moves at
-         elapsed time 0, so no step / sim-time budget with room for
-         [depth] steps can reclassify them; a wall-clock watchdog
-         could, so its presence disables the shortcut. *)
-        when depth < config.Path.max_steps && max_wall_per_path = None ->
-        Some 1.0
-      | _ -> None
-    in
-    (match answer with
-    | Some _ ->
-      prepass_metric
-        (match report.Prepass.outcome with
-        | Prepass.P0 _ -> "p0"
-        | _ -> "p1")
-    | None -> prepass_metric "inconclusive");
-    Slimsim_obs.Log.emit ~event:"prepass"
-      [
-        ( "result",
-          Slimsim_obs.Json.String
-            (match report.Prepass.outcome with
-            | Prepass.P0 _ -> "p0"
-            | Prepass.P1 _ -> "p1"
-            | Prepass.Inconclusive _ -> "inconclusive") );
-        ("shortcut", Slimsim_obs.Json.Bool (answer <> None));
-        ("wall_seconds", Slimsim_obs.Json.Float report.Prepass.wall_seconds);
-      ];
-    Option.map (fun p -> (p, report)) answer
-  end
-
-(* Exact answer, no sampling: the certificate stands in for the whole
-   campaign.  The reported probability is complement-mapped exactly like
-   an estimated one. *)
-let exact_estimate ~complement (p_raw, report) =
-  let p = if complement then 1.0 -. p_raw else p_raw in
-  {
-    probability = p;
-    ci_low = p;
-    ci_high = p;
-    paths = 0;
-    successes = 0;
-    deadlock_paths = 0;
-    violated_paths = 0;
-    errors = 0;
-    diverged_paths = 0;
-    dropped_paths = 0;
-    worker_restarts = 0;
-    interrupted = false;
-    wall_seconds = report.Prepass.wall_seconds;
-    certificate = certificate_of ~complement report.Prepass.outcome;
-  }
-
-let check ?workers ?seed ?(generator = Generator.Chernoff)
-    ?(on_deadlock = `Falsify) ?engine ?on_error ?supervisor ?progress
-    ?max_steps ?max_sim_time ?max_wall_per_path ?(prepass = true) (m : model)
-    ~property ~strategy ~delta ~eps () =
-  let* goal, hold, horizon, complement = parse_pattern_full m property in
-  let config =
-    make_config ?max_steps ?max_sim_time ?max_wall_per_path ~on_deadlock
-      ~horizon ()
+(* The sampling path is "create a campaign, drive it to completion": the
+   same resumable value a resident service steps incrementally, driven
+   in one shot here. *)
+let sample ?workers ?seed ?generator ?engine ?on_error ?supervisor ?progress
+    (m : model) p ~strategy ~delta ~eps () =
+  let* prep =
+    prepare ?workers ?seed ?generator ?engine ?on_error ?supervisor ?progress m
+      p ~strategy ~delta ~eps ()
   in
+  let result = Campaign.drive prep.campaign in
+  Option.iter Slimsim_obs.Progress.finish progress;
+  match (result, p.query) with
+  | Error e, _ -> Error (Path.error_to_string e)
+  | Ok r, Pattern.Cost_expect _ ->
+    Ok (Cost_expected (Cost_run.of_campaign ~delta prep.campaign r))
+  | Ok r, Pattern.Cost_dist _ ->
+    Ok (Cost_distribution (Cost_run.of_campaign ~delta prep.campaign r))
+  | Ok r, (Pattern.Prob _ | Pattern.Cost_reach _) ->
+    Ok (Cost_probability (estimate_of_result ~complement:p.complement r))
+
+(* The one body behind [check] and [check_cost]: plan, certify, else
+   sample. *)
+let answer grammar ?workers ?seed ?generator ?on_deadlock ?engine ?on_error
+    ?supervisor ?progress ?max_steps ?max_sim_time ?max_wall_per_path
+    ?(prepass = true) m ~query ~strategy ~delta ~eps () =
+  let* p =
+    plan_of ?max_steps ?max_sim_time ?max_wall_per_path ?on_deadlock grammar m
+      query
+  in
+  let* certified = certify ~prepass m p ~strategy in
+  match certified with
+  | Some e -> Ok (Cost_probability e)
+  | None ->
+    sample ?workers ?seed ?generator ?engine ?on_error ?supervisor ?progress m
+      p ~strategy ~delta ~eps ()
+
+let check_cost = answer `Query
+
+let check ?workers ?seed ?generator ?on_deadlock ?engine ?on_error ?supervisor
+    ?progress ?max_steps ?max_sim_time ?max_wall_per_path ?prepass m ~property
+    ~strategy ~delta ~eps () =
   match
-    prepass_shortcut ~prepass ~strategy ?hold ~config ~max_wall_per_path m
-      ~goal
+    answer `Property ?workers ?seed ?generator ?on_deadlock ?engine ?on_error
+      ?supervisor ?progress ?max_steps ?max_sim_time ?max_wall_per_path
+      ?prepass m ~query:property ~strategy ~delta ~eps ()
   with
-  | Some shortcut -> Ok (exact_estimate ~complement shortcut)
-  | None -> (
-    (* The sampling path is "create a campaign, drive it to
-       completion": the same resumable value a resident service steps
-       incrementally, driven in one shot here. *)
-    match
-      prepare ?workers ?seed ~generator ~on_deadlock ?engine ?on_error
-        ?supervisor ?progress ?max_steps ?max_sim_time ?max_wall_per_path m
-        ~property ~strategy ~delta ~eps ()
-    with
-    | Error e -> Error e
-    | Ok p ->
-      let result =
-        match Campaign.drive p.campaign with
-        | Ok r -> Ok (estimate_of_result p r)
-        | Error e -> Error (Path.error_to_string e)
-      in
-      (match progress with
-      | Some pr -> Slimsim_obs.Progress.finish pr
-      | None -> ());
-      result)
-
-(* --- priced-STA cost queries (UPPAAL-SMC style, arXiv:1207.1272) --- *)
-
-module Cost_run = Slimsim_sim.Cost_run
-
-type cost_outcome =
-  | Cost_probability of estimate
-  | Cost_expected of Cost_run.result
-  | Cost_distribution of Cost_run.result
-
-let check_cost ?workers ?seed ?(generator = Generator.Chernoff)
-    ?(on_deadlock = `Falsify) ?engine ?on_error ?supervisor ?progress
-    ?max_steps ?max_sim_time ?max_wall_per_path ?(prepass = true) (m : model)
-    ~query ~strategy ~delta ~eps () =
-  let* q = Pattern.parse_query query in
-  let finish_progress result =
-    (match progress with
-    | Some pr -> Slimsim_obs.Progress.finish pr
-    | None -> ());
-    result
-  in
-  match q with
-  | Pattern.Prob _ ->
-    let* e =
-      check ?workers ?seed ~generator ~on_deadlock ?engine ?on_error
-        ?supervisor ?progress ?max_steps ?max_sim_time ?max_wall_per_path
-        ~prepass m ~property:query ~strategy ~delta ~eps ()
-    in
-    Ok (Cost_probability e)
-  | Pattern.Cost_reach { cost_src; cost_bound; goal_src } -> (
-    (* Cost-bounded reachability is bounded until in cost space: hold
-       [c <= C], no time bound (the watchdog budgets backstop paths
-       whose cost observer stalls below the bound). *)
-    let module Expr = Slimsim_sta.Expr in
-    let* cv =
-      Pattern.resolve_cost ~enum:(enum_lookup m) m.Loader.network cost_src
-    in
-    let* goal =
-      Loader.parse_goal ~enum:(enum_lookup m) m.Loader.network goal_src
-    in
-    let hold = Expr.Binop (Expr.Le, Expr.var cv, Expr.real cost_bound) in
-    let horizon = infinity in
-    let config =
-      make_config ?max_steps ?max_sim_time ?max_wall_per_path ~on_deadlock
-        ~horizon ()
-    in
-    match
-      prepass_shortcut ~prepass ~strategy ~hold ~config ~max_wall_per_path m
-        ~goal
-    with
-    | Some shortcut ->
-      Ok (Cost_probability (exact_estimate ~complement:false shortcut))
-    | None -> (
-      let gen = Generator.create generator ~delta ~eps in
-      match
-        Campaign.create ?workers ?seed ~config ?engine ?on_error ~hold
-          ?supervisor ?progress m.Loader.network ~goal ~horizon ~strategy
-          ~generator:gen ()
-      with
-      | Error e -> Error (Path.error_to_string e)
-      | Ok c ->
-        finish_progress
-          (match Campaign.drive c with
-          | Ok r ->
-            Ok
-              (Cost_probability
-                 (estimate_of_result
-                    { campaign = c; complement = false; horizon }
-                    r))
-          | Error e -> Error (Path.error_to_string e))))
-  | Pattern.Cost_expect { cost_src; prob } | Pattern.Cost_dist { cost_src; prob }
-    -> (
-    let dist = match q with Pattern.Cost_dist _ -> true | _ -> false in
-    let* cv =
-      Pattern.resolve_cost ~enum:(enum_lookup m) m.Loader.network cost_src
-    in
-    let* goal, hold, horizon =
-      Pattern.resolve ~enum:(enum_lookup m) m.Loader.network prob
-    in
-    let config =
-      make_config ?max_steps ?max_sim_time ?max_wall_per_path ~on_deadlock
-        ~horizon ()
-    in
-    (* A P=0 certificate means no path ever reaches the goal: the
-       conditional expectation is undefined and sampling can only stall.
-       A P=1 certificate does NOT shortcut — the cost values still have
-       to be sampled. *)
-    match
-      prepass_shortcut ~prepass ~strategy ?hold ~config ~max_wall_per_path m
-        ~goal
-    with
-    | Some (p, _) when p = 0.0 ->
-      Error
-        (Printf.sprintf
-           "expected cost undefined: the pre-pass certifies P = 0 for %s — \
-            no path ever reaches the goal"
-           (Pattern.to_string prob))
-    | _ -> (
-      let generator = Generator.create generator ~delta ~eps in
-      let cost = (cv, Pattern.query_to_string q) in
-      match
-        Campaign.create ?workers ?seed ~config ?engine ?on_error ?hold
-          ?supervisor ?progress ~cost m.Loader.network ~goal ~horizon
-          ~strategy ~generator ()
-      with
-      | Error e -> Error (Path.error_to_string e)
-      | Ok c ->
-        finish_progress
-          (match Campaign.drive c with
-          | Ok r ->
-            let r = Cost_run.of_campaign ~delta c r in
-            Ok (if dist then Cost_distribution r else Cost_expected r)
-          | Error e -> Error (Path.error_to_string e))))
+  | Ok (Cost_probability e) -> Ok e
+  | Ok (Cost_expected _ | Cost_distribution _) ->
+    Error "the property grammar has no cost forms"
+  | Error e -> Error e
 
 type exact = {
   exact_probability : float;
@@ -401,16 +344,16 @@ type exact = {
 }
 
 let check_exact ?max_states ?lump (m : model) ~property =
-  let* goal, hold, horizon, complement = parse_pattern_full m property in
+  let* p = plan_of `Property m property in
   match
-    Slimsim_ctmc.Analysis.check ?max_states ?hold ?lump m.Loader.network ~goal
-      ~horizon
+    Slimsim_ctmc.Analysis.check ?max_states ?hold:p.hold ?lump m.Loader.network
+      ~goal:p.goal ~horizon:p.horizon
   with
   | Ok r ->
     Ok
       {
         exact_probability =
-          (if complement then 1.0 -. r.Slimsim_ctmc.Analysis.probability
+          (if p.complement then 1.0 -. r.Slimsim_ctmc.Analysis.probability
            else r.Slimsim_ctmc.Analysis.probability);
         states = r.Slimsim_ctmc.Analysis.stable_states;
         lumped_states = r.Slimsim_ctmc.Analysis.lumped_states;
@@ -419,11 +362,11 @@ let check_exact ?max_states ?lump (m : model) ~property =
   | Error e -> Error e
 
 let simulate_one ?(seed = 1L) ?(record = true) (m : model) ~property ~strategy =
-  let* goal, hold, horizon = parse_property m property in
-  let config = Path.default_config ~horizon in
+  let* p = plan_of `Property m property in
   let rng = Slimsim_stats.Rng.for_path ~seed ~path:0 in
   let verdict, steps =
-    Path.generate ~record ?hold m.Loader.network config strategy rng ~goal
+    Path.generate ~record ?hold:p.hold m.Loader.network p.config strategy rng
+      ~goal:p.goal
   in
   match verdict with
   | Ok v -> Ok (v, steps)

@@ -47,8 +47,8 @@ val parse_property :
   model ->
   string ->
   (Slimsim_sta.Expr.t * Slimsim_sta.Expr.t option * float, string) result
-(** Returns (goal, hold, horizon).  Accepts [P(<> [0,u] goal)],
-    the bounded until [P(hold U [0,u] goal)], or
+(** Returns (goal, hold, horizon) of the property's {!plan}.  Accepts
+    [P(<> [0,u] goal)], the bounded until [P(hold U [0,u] goal)], or
     [probability that goal within u]. *)
 
 type estimate = {
@@ -77,6 +77,49 @@ type estimate = {
           Monte Carlo path *)
 }
 
+(** {1 Query plans}
+
+    Every checking front end — {!check}, {!check_cost}, the CLI's
+    in-process and [--distribute] transports, the resident service and
+    the distributed worker — answers a query the same way: parse it once
+    ({!parse}), resolve it against the model into a {!plan}, run the
+    qualitative pre-pass once ({!certify}), and only when that is
+    inconclusive {!prepare} a campaign and drive it ({!sample}). *)
+
+type plan = {
+  query : Slimsim_props.Pattern.query;  (** the parsed form *)
+  goal : Slimsim_sta.Expr.t;  (** negated for invariance patterns *)
+  hold : Slimsim_sta.Expr.t option;
+      (** the until's hold; [c <= C] for cost-bounded reachability *)
+  horizon : float;  (** [infinity] for cost-bounded reachability *)
+  complement : bool;  (** report [1 - p] (invariance patterns) *)
+  cost : (int * string) option;
+      (** [E]/[D]: the observer variable and canonical query string *)
+  config : Slimsim_sim.Path.config;
+}
+
+val parse :
+  [ `Property | `Query ] -> string -> (Slimsim_props.Pattern.query, string) result
+(** Parse a query text.  [`Property] is the classic grammar of
+    [~property] and [simulate -p] (reachability, until, invariance; its
+    diagnostics are the classic parser's); [`Query] is
+    {!Slimsim_props.Pattern.parse_query}, which adds the priced-STA cost
+    forms. *)
+
+val plan :
+  ?max_steps:int ->
+  ?max_sim_time:float ->
+  ?max_wall_per_path:float ->
+  ?on_deadlock:[ `Error | `Falsify ] ->
+  model ->
+  Slimsim_props.Pattern.query ->
+  (plan, string) result
+(** Resolve a parsed query against the model and build its path
+    configuration: the watchdog budgets [max_steps] (default 1_000_000),
+    [max_sim_time] and [max_wall_per_path], and the deadlock policy
+    (default [`Falsify]).  Cost-bounded reachability [P(<> [c <= C] g)]
+    becomes the bounded until with hold [c <= C] and no time bound. *)
+
 val check :
   ?workers:int ->
   ?seed:int64 ->
@@ -97,9 +140,11 @@ val check :
   eps:float ->
   unit ->
   (estimate, string) result
-(** Monte Carlo estimation (the paper's tool).  [generator] defaults to
-    the Chernoff–Hoeffding bound; [engine] to the staged compiled core
-    (bit-identical to the [`Interpreted] reference); [on_error] to
+(** Monte Carlo estimation (the paper's tool): {!parse} [property] with
+    the [`Property] grammar, {!plan} it, {!certify} it and otherwise
+    {!sample} it — the same body as {!check_cost}.  [generator] defaults
+    to the Chernoff–Hoeffding bound; [engine] to the staged compiled
+    core (bit-identical to the [`Interpreted] reference); [on_error] to
     aborting the run on the first path-level error.
 
     [supervisor] carries the campaign robustness policies (divergence
@@ -110,65 +155,71 @@ val check :
     count.
 
     [prepass] (default [true]) runs the qualitative pre-pass
-    ({!Slimsim_analyze.Prepass}) before sampling.  When it certifies
-    P=0 or P=1, [check] returns the exact answer without spawning any
-    workers: [paths = 0], a zero-width interval and
+    ({!certify}) before sampling.  When it certifies P=0 or P=1,
+    [check] returns the exact answer without spawning any workers:
+    [paths = 0], a zero-width interval and
     [certificate = Some "P0"/"P1"].  When it is inconclusive — or
     disabled with [?prepass:false] — the estimation runs exactly as it
     would have without the pre-pass: identical seeds, identical verdict
-    stream, identical estimate.  A P=1 certificate only short-circuits
-    when its witness depth fits under [max_steps] and no
-    [max_wall_per_path] watchdog is set (a wall-clock budget could
-    reclassify real paths that the certificate counts as successes);
-    the [Scripted] strategy disables the pre-pass, since a script may
-    abort runs arbitrarily. *)
+    stream, identical estimate. *)
 
 (** {1 Campaigns as values}
 
-    [check] is a convenience: prepare a campaign, drive it to
-    completion, map the result.  A resident service does the same three
-    things, but drives the campaign incrementally ({!Campaign.step} /
-    {!Campaign.park}) under its own scheduler. *)
+    A resident service drives a {!prepare}d campaign incrementally
+    ({!Campaign.step} / {!Campaign.park}) under its own scheduler. *)
+
+val certify :
+  prepass:bool ->
+  model ->
+  plan ->
+  strategy:Strategy.t ->
+  (estimate option, string) result
+(** The qualitative pre-pass ({!Slimsim_analyze.Prepass}) as a shortcut.
+    [Ok (Some e)]: a probability form proved P=0 or P=1, answered
+    exactly ([paths = 0], zero-width interval, [certificate]).
+    [Ok None]: sample — the pre-pass is off, inconclusive, or proved
+    P=1 for an [E]/[D] form (whose cost values still need sampling).
+    [Error]: P=0 on an [E]/[D] form (the expectation is undefined).  A
+    P=1 certificate only counts when its witness depth fits under the
+    plan's [max_steps] and no [max_wall_per_path] watchdog is set (a
+    wall-clock budget could reclassify real paths); the [Scripted]
+    strategy disables the pre-pass, since a script may abort runs. *)
 
 type prepared = {
   campaign : Campaign.t;
-  complement : bool;
-      (** invariance patterns are estimated via their negation; map the
-          final result through {!estimate_of_result}, which undoes
-          this *)
-  horizon : float;  (** the property's parsed time bound *)
+  plan : plan;
+      (** the query it answers; map the final result through
+          {!estimate_of_result} with [plan.complement] *)
 }
 
 val prepare :
   ?workers:int ->
   ?seed:int64 ->
   ?generator:Generator.kind ->
-  ?on_deadlock:[ `Error | `Falsify ] ->
   ?engine:[ `Compiled | `Interpreted ] ->
   ?on_error:[ `Abort | `Unsat ] ->
   ?supervisor:Slimsim_sim.Supervisor.t ->
   ?progress:Slimsim_obs.Progress.t ->
-  ?max_steps:int ->
-  ?max_sim_time:float ->
-  ?max_wall_per_path:float ->
   ?compiled:Slimsim_sta.Compiled.t ->
   model ->
-  property:string ->
+  plan ->
   strategy:Strategy.t ->
   delta:float ->
   eps:float ->
   unit ->
   (prepared, string) result
-(** Parse [property] against the model and create the (unstarted)
-    campaign for it.  Parameters are those of {!check}, minus the
-    pre-pass (a service decides itself whether to run one), plus
+(** Create the (unstarted) campaign for a plan, with the cost
+    accumulator attached for [E]/[D] forms.  Parameters are those of
+    {!check}, minus the pre-pass (a caller decides itself whether to
+    {!certify}) and the path configuration (already in the plan), plus
     [compiled]: an already-staged network (from
     [Slimsim_sta.Compiled.compile (network m)]) so a resident process
     can amortize staging across many campaigns over the same model. *)
 
-val estimate_of_result : prepared -> Campaign.result -> estimate
-(** Map a finished campaign's raw result to the user-facing estimate,
-    applying the pattern's complement.  [certificate] is [None]. *)
+val estimate_of_result : complement:bool -> Campaign.result -> estimate
+(** Map a finished campaign's raw result — in-process or distributed —
+    to the user-facing estimate, applying the pattern's complement
+    ({!plan}'s [complement]).  [certificate] is [None]. *)
 
 val prepass :
   ?max_nodes:int ->
@@ -224,6 +275,26 @@ type cost_outcome =
       (** a [D[...]] query; render with
           {!Slimsim_sim.Cost_run.pp_distribution} *)
 
+val sample :
+  ?workers:int ->
+  ?seed:int64 ->
+  ?generator:Generator.kind ->
+  ?engine:[ `Compiled | `Interpreted ] ->
+  ?on_error:[ `Abort | `Unsat ] ->
+  ?supervisor:Slimsim_sim.Supervisor.t ->
+  ?progress:Slimsim_obs.Progress.t ->
+  model ->
+  plan ->
+  strategy:Strategy.t ->
+  delta:float ->
+  eps:float ->
+  unit ->
+  (cost_outcome, string) result
+(** {!prepare} a campaign for the plan, drive it to completion in this
+    process, finish [progress], and map the result by query form:
+    {!estimate_of_result} for probability forms, the cost result (its
+    interval at the generator's [delta]) for [E]/[D].  No pre-pass. *)
+
 val check_cost :
   ?workers:int ->
   ?seed:int64 ->
@@ -244,17 +315,12 @@ val check_cost :
   eps:float ->
   unit ->
   (cost_outcome, string) result
-(** Check any query form ({!Slimsim_props.Pattern.parse_query}).
-    Parameters are those of {!check}.  [P] forms route through the
-    classic campaign (cost-bounded reachability constructs the hold
-    [c <= C] and runs with an unbounded horizon — the watchdog budgets
-    backstop paths whose cost observer stalls under the bound; the
-    qualitative pre-pass applies as in {!check}).  [E]/[D] forms run
-    the same campaign with its cost accumulator attached
-    ({!Slimsim_sim.Campaign.create}'s [cost]), under [workers] like any
-    other; a pre-pass P=0 certificate is reported as an error (the
-    conditional expectation is undefined when no path can reach the
-    goal). *)
+(** Check any query form: {!parse} [query] with the [`Query] grammar,
+    then the body of {!check} — {!plan}, one {!certify}, else {!sample}.
+    Parameters are those of {!check}.  A probability form gives exactly
+    {!check}'s answer; an [E]/[D] form runs the same campaign with its
+    cost accumulator attached, under [workers] like any other, and a
+    pre-pass P=0 certificate on it is an error. *)
 
 val pp_cost_outcome : Format.formatter -> cost_outcome -> unit
 (** {!pp_estimate} for probability forms, [Cost_run.pp_result] for

@@ -152,7 +152,7 @@ let build_session hello =
   let ( let* ) = Result.bind in
   let* chaos = Chaos.parse hello.Wire.chaos in
   let* model = Slimsim.load_string hello.Wire.model_source in
-  let* goal, hold, horizon = Slimsim.parse_property model hello.Wire.property in
+  let* query = Slimsim.parse `Property hello.Wire.property in
   let* strategy = Strategy.of_string hello.Wire.strategy in
   let* engine =
     match hello.Wire.engine with
@@ -166,18 +166,15 @@ let build_session hello =
     | "falsify" -> Ok `Falsify
     | p -> Error (Printf.sprintf "unknown deadlock policy %S" p)
   in
-  let cfg =
-    {
-      (Path.default_config ~horizon) with
-      Path.max_steps = hello.Wire.max_steps;
-      max_sim_time = hello.Wire.max_sim_time;
-      max_wall_per_path = hello.Wire.max_wall_per_path;
-      on_deadlock;
-    }
+  let* plan =
+    Slimsim.plan ~max_steps:hello.Wire.max_steps
+      ?max_sim_time:hello.Wire.max_sim_time
+      ?max_wall_per_path:hello.Wire.max_wall_per_path ~on_deadlock model query
   in
   let runner =
-    Campaign.make_runner ~engine ~seed:hello.Wire.seed ?hold cfg
-      (Slimsim.network model) ~goal ~strategy ~worker:hello.Wire.worker ()
+    Campaign.make_runner ~engine ~seed:hello.Wire.seed ?hold:plan.Slimsim.hold
+      plan.Slimsim.config (Slimsim.network model) ~goal:plan.Slimsim.goal
+      ~strategy ~worker:hello.Wire.worker ()
   in
   Ok
     {

@@ -242,7 +242,9 @@ let run_slice st job =
        anyone else is waiting to run *)
     if Scheduler.pending st.sched > 0 then Campaign.park c;
     Scheduler.push st.sched ~tenant:job.tenant job.id
-  | Campaign.Done r -> finish st job (Ok (Slimsim.estimate_of_result job.prepared r))
+  | Campaign.Done r ->
+    finish st job
+      (Ok (Slimsim.estimate_of_result ~complement:job.prepared.plan.complement r))
   | Campaign.Failed e -> finish st job (Error (Path.error_to_string e))
 
 (* ---- request handling --------------------------------------------- *)
@@ -285,28 +287,32 @@ let handle_submit st fd (s : Protocol.submit) =
     match resolved with
     | Error e -> reject e
     | Ok (entry, hit) -> (
-      (* The serve protocol exchanges probability estimates; a cost
-         query's accumulator has no channel here.  Reject explicitly so
-         the client gets a pointed message rather than a parse error. *)
-      let cost_query =
-        match Slimsim_props.Pattern.parse_query s.property with
-        | Ok (Slimsim_props.Pattern.Prob _) | Error _ -> false
-        | Ok _ -> true
-      in
-      if cost_query then
-        reject
-          "cost queries (P(<> [c <= C] ...), E[...], D[...]) are not \
-           supported in serve mode; run them with 'slimsim simulate --query'"
-      else
       let sup = Supervisor.create ~on_divergence:s.on_divergence () in
       let workers = max 1 (min s.workers st.cfg.max_workers) in
+      let ( let* ) = Result.bind in
       match
+        let* query = Slimsim.parse `Query s.property in
+        (* The serve protocol exchanges probability estimates; a cost
+           query's accumulator has no channel here.  Reject it by its
+           form, before resolving it, so the client gets a pointed
+           message. *)
+        let* () =
+          match query with
+          | Slimsim_props.Pattern.Prob _ -> Ok ()
+          | _ ->
+            Error
+              "cost queries (P(<> [c <= C] ...), E[...], D[...]) are not \
+               supported in serve mode; run them with 'slimsim simulate \
+               --query'"
+        in
+        let* plan =
+          Slimsim.plan ?max_steps:s.max_steps ?max_sim_time:s.max_sim_time
+            ?max_wall_per_path:s.max_wall_per_path entry.Cache.model query
+        in
         Slimsim.prepare ~workers ~seed:s.seed ~generator:s.generator
           ~engine:`Compiled ~on_error:`Abort ~supervisor:sup
-          ?max_steps:s.max_steps ?max_sim_time:s.max_sim_time
-          ?max_wall_per_path:s.max_wall_per_path ~compiled:entry.Cache.compiled
-          entry.Cache.model ~property:s.property ~strategy:s.strategy
-          ~delta:s.delta ~eps:s.eps ()
+          ~compiled:entry.Cache.compiled entry.Cache.model plan
+          ~strategy:s.strategy ~delta:s.delta ~eps:s.eps ()
       with
       | Error e -> reject e
       | Ok prepared ->
@@ -504,7 +510,10 @@ let shutdown st =
         (* stop flag is set: this consumes no new samples *)
         (match Campaign.step ~quota:1 job.prepared.campaign with
         | Campaign.Done r ->
-          finish st job (Ok (Slimsim.estimate_of_result job.prepared r))
+          finish st job
+            (Ok
+               (Slimsim.estimate_of_result
+                  ~complement:job.prepared.plan.complement r))
         | Campaign.Failed e -> finish st job (Error (Path.error_to_string e))
         | Campaign.Running -> finish st job (Error "interrupted"))
       | _ -> ());

@@ -402,6 +402,85 @@ let test_interrupt_and_resume () =
       let o2 = dist_ok ~workers:2 ~supervisor:sup2 () in
       same_estimate "resumed run" o2.Coordinator.result baseline)
 
+(* --- the CLI: one pre-pass for every transport --- *)
+
+let models =
+  Filename.concat (Filename.dirname Sys.executable_name) "../examples/models"
+
+(* Run [slimsim simulate ARGS]: exit code, stdout with the wall-clock
+   field stripped, stderr. *)
+let simulate args =
+  let out = Filename.temp_file "slimsim_cli" ".out"
+  and err = Filename.temp_file "slimsim_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ out; err ])
+    (fun () ->
+      let code =
+        Sys.command
+          (Filename.quote_command bin ~stdout:out ~stderr:err
+             (("simulate" :: args)
+             @ [ "--seed"; "1"; "-d"; "0.1"; "-e"; "0.1"; "--no-lint" ]))
+      in
+      let read f = In_channel.with_open_bin f In_channel.input_all in
+      ( code,
+        Str.global_replace (Str.regexp ", [0-9.]+s)") ")" (read out),
+        read err ))
+
+let certified_rows =
+  [
+    ("mm1k.slim", "P(<> [0, 100] q < 0)", "P0");
+    ("gps_nominal.slim", "P([] [0, 300] x >= 0)", "P1");
+  ]
+
+let contains s sub =
+  try
+    ignore (Str.search_forward (Str.regexp_string sub) s 0);
+    true
+  with Not_found -> false
+
+let test_cli_distribute_certified () =
+  List.iter
+    (fun (file, prop, cert) ->
+      let run extra =
+        simulate ([ Filename.concat models file; "-p"; prop ] @ extra)
+      in
+      let code, seq, _ = run [] in
+      Alcotest.(check int) (prop ^ ": sequential exit") 0 code;
+      Alcotest.(check bool) (prop ^ ": certified") true
+        (contains seq (Printf.sprintf "[certificate %s: exact]" cert));
+      let code, dist, _ = run [ "--distribute"; "2" ] in
+      Alcotest.(check int) (prop ^ ": distributed exit") 0 code;
+      Alcotest.(check string) (prop ^ ": --distribute 2 = sequential") seq dist;
+      (* without the pre-pass both transports sample, identically *)
+      let _, seq_np, _ = run [ "--no-prepass" ] in
+      let code, dist_np, _ = run [ "--no-prepass"; "--distribute"; "2" ] in
+      Alcotest.(check int) (prop ^ ": --no-prepass distributed exit") 0 code;
+      Alcotest.(check bool) (prop ^ ": --no-prepass samples") false
+        (contains dist_np "certificate" || contains dist_np "/0 paths");
+      Alcotest.(check string)
+        (prop ^ ": --no-prepass --distribute 2 = sequential")
+        seq_np dist_np)
+    certified_rows
+
+let test_cli_distribute_rejects_cost () =
+  let code, out, err =
+    simulate
+      [
+        Filename.concat models "gps_nominal.slim";
+        "--query";
+        "E[x ; <> [0, 300] measurement]";
+        "--distribute";
+        "2";
+      ]
+  in
+  Alcotest.(check int) "exit" 1 code;
+  Alcotest.(check string) "no answer" "" out;
+  Alcotest.(check string) "message"
+    "slimsim: cost queries are not supported with --distribute; run them in a \
+     single process\n"
+    err
+
 let suite =
   [
     Alcotest.test_case "wire: frames round-trip byte-at-a-time" `Quick
@@ -423,6 +502,10 @@ let suite =
       test_duplicate_batches_suppressed;
     Alcotest.test_case "corrupt frame: worker replaced" `Quick
       test_corrupt_frame_recovery;
+    Alcotest.test_case "cli: --distribute on certified properties" `Quick
+      test_cli_distribute_certified;
+    Alcotest.test_case "cli: --distribute rejects cost queries" `Quick
+      test_cli_distribute_rejects_cost;
     Alcotest.test_case "interrupt, checkpoint, resume" `Quick
       test_interrupt_and_resume;
   ]

@@ -22,4 +22,5 @@ let () =
       ("serve", Test_serve.suite);
       ("integration", Test_integration.suite);
       ("dist", Test_dist.suite);
+      ("facade", Test_facade.suite);
     ]

@@ -369,6 +369,68 @@ let test_service_end_to_end () =
   close_in_noerr ic;
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists socket_path)
 
+(* --- cost queries are rejected --- *)
+
+(* The serve protocol's result shape carries a probability estimate; a
+   cost query (cost-bounded reachability, E[...], D[...]) has no channel
+   there and is rejected with a pointed message, never prepared. *)
+let clock_model =
+  {|
+device G
+features
+  m: out data port bool := false;
+end G;
+device implementation G.I
+subcomponents
+  x: data clock;
+modes
+  a: initial mode while x <= 5.0;
+  b: mode;
+transitions
+  a -[when x >= 1.0 then m := true]-> b;
+end G.I;
+root G.I;
+|}
+
+let test_service_rejects_cost_queries () =
+  let dir = Filename.temp_file "slimsim_serve" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let socket_path = Filename.concat dir "serve.sock" in
+  let server =
+    Thread.create (fun () -> Service.run (Service.default_config ~socket_path)) ()
+  in
+  let fd, ic = connect socket_path in
+  let submit property =
+    send fd
+      (Json.to_string
+         (Protocol.submit_to_json
+            {
+              Protocol.submit_defaults with
+              model_source = Some clock_model;
+              property;
+              delta = 0.1;
+              eps = 0.1;
+            }));
+    recv ic
+  in
+  List.iter
+    (fun q ->
+      let r = submit q in
+      Alcotest.(check (option bool)) (q ^ ": not ok") (Some false)
+        (match Json.member "ok" r with Some (Json.Bool b) -> Some b | _ -> None);
+      Alcotest.(check string) (q ^ ": message")
+        "cost queries (P(<> [c <= C] ...), E[...], D[...]) are not supported \
+         in serve mode; run them with 'slimsim simulate --query'"
+        (str_field q "error" r))
+    [ "E[x ; <> [0, 5] m]"; "D[x ; <> [0, 5] m]"; "P(<> [x <= 3] m)" ];
+  (* the same connection still serves a probability query *)
+  expect_ok "probability query" (submit "P(<> [0, 5] m)");
+  send fd {|{"op":"shutdown"}|};
+  expect_ok "shutdown" (recv ic);
+  Thread.join server;
+  close_in_noerr ic
+
 let suite =
   [
     Alcotest.test_case "protocol: submit roundtrip" `Quick
@@ -380,6 +442,8 @@ let suite =
     Alcotest.test_case "cache: LRU over network hashes" `Quick test_cache_lru;
     Alcotest.test_case "scheduler: fair share across tenants" `Quick
       test_scheduler_fairness;
+    Alcotest.test_case "service: cost queries rejected" `Quick
+      test_service_rejects_cost_queries;
     Alcotest.test_case "service: two tenants end-to-end" `Quick
       test_service_end_to_end;
   ]
