@@ -625,7 +625,10 @@ let simulate_cmd =
             }
           in
           let gen = S.Generator.create generator ~delta ~eps in
-          match Coordinator.run ~supervisor ?progress cfg job ~generator:gen with
+          match
+            Coordinator.run ~supervisor ?progress ~complement:plan.S.complement cfg
+              job ~generator:gen
+          with
           | Error e -> fail (Slimsim_sim.Path.error_to_string e)
           | Ok o ->
             Log.emit ~event:"dist_summary"
@@ -733,10 +736,21 @@ let exact_cmd =
 let trace_cmd =
   let csv =
     Arg.(value & flag & info [ "csv" ] ~doc:"Emit the trace as CSV (RFC 4180).")
+  and path =
+    Arg.(
+      value & opt int 0
+      & info [ "path" ] ~docv:"N"
+          ~doc:
+            "Path id to replay: path $(docv) of a $(b,simulate) campaign with the \
+             same seed and strategy.")
   in
-  let run file prop strategy seed csv =
+  let run file prop strategy seed csv path =
+    if path < 0 then begin
+      prerr_endline "slimsim: --path must be >= 0";
+      exit 1
+    end;
     let m = or_die (load file) in
-    match S.simulate_one ~seed m ~property:prop ~strategy with
+    match S.simulate_one ~seed ~path m ~property:prop ~strategy with
     | Ok (verdict, steps) ->
       if csv then print_string (Slimsim_sim.Trace.to_csv steps)
       else begin
@@ -748,7 +762,7 @@ let trace_cmd =
       exit 1
   in
   Cmd.v (Cmd.info "trace" ~doc:"Generate and print a single random path")
-    Term.(const run $ model_arg $ prop_arg $ strategy_arg $ seed_arg $ csv)
+    Term.(const run $ model_arg $ prop_arg $ strategy_arg $ seed_arg $ csv $ path)
 
 (* --- safety analysis (fault trees and FMEA, §II-C) --- *)
 

@@ -251,7 +251,8 @@ let prepare ?workers ?seed ?(generator = Generator.Chernoff) ?engine ?on_error
     ?supervisor ?progress ?compiled (m : model) p ~strategy ~delta ~eps () =
   match
     Campaign.create ?workers ?seed ~config:p.config ?engine ?on_error ?hold:p.hold
-      ?supervisor ?progress ?compiled ?cost:p.cost m.Loader.network ~goal:p.goal
+      ?supervisor ?progress ~complement:p.complement ?compiled ?cost:p.cost
+      m.Loader.network ~goal:p.goal
       ~horizon:p.horizon ~strategy
       ~generator:(Generator.create generator ~delta ~eps)
       ()
@@ -361,9 +362,10 @@ let check_exact ?max_states ?lump (m : model) ~property =
       }
   | Error e -> Error e
 
-let simulate_one ?(seed = 1L) ?(record = true) (m : model) ~property ~strategy =
+let simulate_one ?(seed = 1L) ?(path = 0) ?(record = true) (m : model) ~property
+    ~strategy =
   let* p = plan_of `Property m property in
-  let rng = Slimsim_stats.Rng.for_path ~seed ~path:0 in
+  let rng = Slimsim_stats.Rng.for_path ~seed ~path in
   let verdict, steps =
     Path.generate ~record ?hold:p.hold m.Loader.network p.config strategy rng
       ~goal:p.goal

@@ -344,6 +344,7 @@ val check_exact :
 
 val simulate_one :
   ?seed:int64 ->
+  ?path:int ->
   ?record:bool ->
   model ->
   property:string ->
@@ -352,7 +353,9 @@ val simulate_one :
     string )
   result
 (** Generate a single path (e.g. to inspect a trace or to drive the
-    scripted Input strategy). *)
+    scripted Input strategy).  [path] (default 0) is the path id: the
+    path draws from the same RNG stream as path [path] of a campaign
+    with the same [seed], so it replays that path's verdict. *)
 
 val fault_tree :
   ?max_order:int ->

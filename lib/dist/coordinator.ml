@@ -115,7 +115,7 @@ type slot = {
 
 exception Abort_run of Path.error
 
-let run ?supervisor ?progress cfg job ~generator =
+let run ?supervisor ?progress ?(complement = false) cfg job ~generator =
   let sup = match supervisor with Some s -> s | None -> Supervisor.default () in
   let tally = Campaign.new_tally () in
   let robs = Campaign.make_run_obs () in
@@ -313,7 +313,8 @@ let run ?supervisor ?progress cfg job ~generator =
             let lo, hi =
               Estimator.confidence_interval est ~delta:(Generator.delta generator)
             in
-            (Estimator.mean est, (hi -. lo) /. 2.0))
+            let mean = Estimator.mean est in
+            ((if complement then 1.0 -. mean else mean), (hi -. lo) /. 2.0))
     in
     let drain () =
       cursor :=

@@ -84,12 +84,15 @@ type outcome = {
 val run :
   ?supervisor:Supervisor.t ->
   ?progress:Slimsim_obs.Progress.t ->
+  ?complement:bool ->
   config ->
   job ->
   generator:Slimsim_stats.Generator.t ->
   (outcome, Path.error) Result.t
 (** Drive the campaign to convergence, interruption (the supervisor's
-    stop flag) or collapse.  The supervisor supplies the restart budget
+    stop flag) or collapse.  [complement] makes the [progress]
+    heartbeat report [1 - p] (invariance patterns).  The supervisor
+    supplies the restart budget
     and backoff, divergence/checkpoint/resume policies and the stop
     flag; [supervisor.checkpoint] persists the {!Supervisor.Checkpoint}
     state extended with outstanding leases, and [supervisor.resume]

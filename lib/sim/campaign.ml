@@ -568,6 +568,7 @@ type t = {
   seed : int64;
   generator : Generator.t;
   progress : Progress.t option;
+  complement : bool;  (* running estimates report 1 - p *)
   make : worker:int -> unit -> runner;
   workers : int;
   tally : tally;
@@ -582,7 +583,7 @@ type t = {
 
 let create ?(workers = 1) ?(seed = 0x51135113L) ?config ?(engine = `Compiled)
     ?(on_error = `Abort) ?(hold = Slimsim_sta.Expr.true_) ?supervisor ?progress
-    ?compiled ?cost net ~goal ~horizon ~strategy ~generator () =
+    ?(complement = false) ?compiled ?cost net ~goal ~horizon ~strategy ~generator () =
   let sup =
     match supervisor with Some s -> s | None -> Supervisor.default ()
   in
@@ -623,6 +624,7 @@ let create ?(workers = 1) ?(seed = 0x51135113L) ?config ?(engine = `Compiled)
         seed;
         generator;
         progress;
+        complement;
         make =
           make_worker ~engine ~seed ~hold ?compiled
             ?cost_var:(Option.map fst cost) cfg net ~goal ~strategy;
@@ -670,7 +672,8 @@ let progress_tick t =
         let lo, hi =
           Estimator.confidence_interval est ~delta:(Generator.delta t.generator)
         in
-        (Estimator.mean est, (hi -. lo) /. 2.0))
+        let mean = Estimator.mean est in
+        ((if t.complement then 1.0 -. mean else mean), (hi -. lo) /. 2.0))
   | Some p, Some acc ->
     Progress.tick p ~paths:t.next_path (fun () ->
         ( Welford.mean acc.wf,
@@ -1053,7 +1056,9 @@ let snapshot t =
   let lo, hi =
     Estimator.confidence_interval est ~delta:(Generator.delta t.generator)
   in
-  (Estimator.mean est, lo, hi, Estimator.trials est)
+  let mean = Estimator.mean est and trials = Estimator.trials est in
+  if t.complement then (1.0 -. mean, 1.0 -. hi, 1.0 -. lo, trials)
+  else (mean, lo, hi, trials)
 
 let cost t = Option.map cost_block t.cost
 

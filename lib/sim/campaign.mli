@@ -77,6 +77,7 @@ val create :
   ?hold:Expr.t ->
   ?supervisor:Supervisor.t ->
   ?progress:Slimsim_obs.Progress.t ->
+  ?complement:bool ->
   ?compiled:Compiled.t ->
   ?cost:int * string ->
   Network.t ->
@@ -101,7 +102,9 @@ val create :
     [supervisor] carries the robustness policies: divergence policy,
     crash/restart budget, checkpoint/resume and the cooperative stop
     flag (see {!Supervisor}).  [progress] installs a throttled stderr
-    heartbeat, ticked once per consumed sample.  Observability (metrics,
+    heartbeat, ticked once per consumed sample.  [complement] (default
+    [false]) makes the heartbeat and {!snapshot} report the estimate of
+    [1 - p], as an invariance pattern's answer does.  Observability (metrics,
     structured events) is ambient and performs no RNG draws, so the
     verdict stream is bit-identical with it on or off.
 
@@ -165,7 +168,8 @@ val consumed : t -> int
 
 val snapshot : t -> float * float * float * int
 (** [(mean, ci_low, ci_high, trials)] of the running estimate — safe to
-    call between steps (the collector is not running). *)
+    call between steps (the collector is not running).  Under
+    [complement], [(1 - mean, 1 - ci_high, 1 - ci_low, trials)]. *)
 
 val cost : t -> Supervisor.Checkpoint.cost_state option
 (** The cost accumulator of a priced campaign, as its checkpoint block

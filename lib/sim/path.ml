@@ -1,4 +1,5 @@
 module I = Slimsim_intervals.Interval_set
+module Window = Slimsim_intervals.Window
 module Rng = Slimsim_stats.Rng
 module Dist = Slimsim_stats.Dist
 module Metrics = Slimsim_obs.Metrics
@@ -522,30 +523,63 @@ let compile_query ?(hold = Expr.true_) c ~goal =
 
 (* Mirror of [until_crossing] over the scratch state; the endpoint
    fallback for non-linear formulas runs as a journaled trial. *)
+let until_crossing_sets c s q ~eps ~cap =
+  let window = I.inter (I.at_least 0.0) (I.at_most cap) in
+  let sat_or_endpoint (f : Compiled.formula) =
+    match f.Compiled.f_sat s with
+    | set -> I.inter set window
+    | exception Linear.Nonlinear _ ->
+      if Compiled.eval_bool_after c s ~cap f.Compiled.f_bool then I.point cap
+      else I.empty
+  in
+  let b_set = sat_or_endpoint q.q_goal in
+  let v_set =
+    if q.q_hold.Compiled.f_trivial then I.empty
+    else I.diff (I.inter (I.complement (sat_or_endpoint q.q_hold)) window) b_set
+  in
+  let base = Compiled.time s in
+  match I.first_point ~eps b_set, I.first_point ~eps v_set with
+  | Some tb, Some tv ->
+    if tb <= tv then Some (Sat (base +. tb)) else Some (Unsat_violated (base +. tv))
+  | Some tb, None -> Some (Sat (base +. tb))
+  | None, Some tv -> Some (Unsat_violated (base +. tv))
+  | None, None -> None
+
+(* A plain reachability goal with window writers is resolved in window
+   slots, without building its sat-set. *)
 let until_crossing_c c s q ~eps ~cap =
   if cap < 0.0 then None
-  else begin
-    let window = I.inter (I.at_least 0.0) (I.at_most cap) in
-    let sat_or_endpoint (f : Compiled.formula) =
-      match f.Compiled.f_sat s with
-      | set -> I.inter set window
-      | exception Linear.Nonlinear _ ->
-        if Compiled.eval_bool_after c s ~cap f.Compiled.f_bool then I.point cap
-        else I.empty
-    in
-    let b_set = sat_or_endpoint q.q_goal in
-    let v_set =
-      if q.q_hold.Compiled.f_trivial then I.empty
-      else I.diff (I.inter (I.complement (sat_or_endpoint q.q_hold)) window) b_set
-    in
-    let base = Compiled.time s in
-    match I.first_point ~eps b_set, I.first_point ~eps v_set with
-    | Some tb, Some tv ->
-      if tb <= tv then Some (Sat (base +. tb)) else Some (Unsat_violated (base +. tv))
-    | Some tb, None -> Some (Sat (base +. tb))
-    | None, Some tv -> Some (Unsat_violated (base +. tv))
-    | None, None -> None
-  end
+  else
+    match
+      if q.q_hold.Compiled.f_trivial then
+        Compiled.formula_first_point s q.q_goal ~eps ~cap
+      else -1
+    with
+    | 1 -> Some (Sat (Compiled.time s +. Window.point (Compiled.goal_window s)))
+    | 0 -> None
+    | _ -> until_crossing_sets c s q ~eps ~cap
+
+(* The automated strategies' discrete delay proposal, read from the
+   window slots with [generate_weighted]'s arithmetic; [false] for no
+   proposal, else the delay is in [out.(0)]. *)
+let propose_delay s strategy ~eps ~remaining ~n_timed u01 out =
+  let mw = Compiled.move_windows s and iw = Compiled.inv_window s in
+  match strategy with
+  | Strategy.Asap ->
+    Window.first_point_min ~eps mw ~n:n_timed && (out.(0) <- Window.point mw; true)
+  | Strategy.Progressive ->
+    Window.sample_union mw ~first:0 ~n:n_timed ~cap:remaining u01
+    && (out.(0) <- Window.point mw; true)
+  | Strategy.Local ->
+    Window.sample_union iw ~first:0 ~n:1 ~cap:remaining u01
+    && (out.(0) <- Window.point iw; true)
+  | Strategy.Max_time ->
+    if Window.sup_unbounded iw 0 then begin
+      out.(0) <- remaining +. 1.0;
+      true
+    end
+    else Window.last_point_below ~eps infinity iw 0 && (out.(0) <- Window.point iw; true)
+  | Strategy.Scripted _ -> assert false
 
 let generate_compiled ?obs ?cost c s q cfg strategy rng =
   match strategy with
@@ -563,6 +597,9 @@ let generate_compiled ?obs ?cost c s q cfg strategy rng =
     let wall_budget = Option.value cfg.max_wall_per_path ~default:infinity in
     let wall_start = ref nan in
     let step_n = ref 0 in
+    let u01 = Rng.below rng in
+    (* the discrete proposal and the race's holding time *)
+    let prop = [| 0.0 |] and race_t = [| 0.0 |] in
     let result =
     try
       Compiled.reset c s;
@@ -597,96 +634,47 @@ let generate_compiled ?obs ?cost c s q cfg strategy rng =
           if remaining < 0.0 then verdict := Some Unsat_horizon
           else begin
             Compiled.set_rates c s;
-            let inv_win = Compiled.invariant_window c s in
-            if I.is_empty inv_win then
+            Compiled.invariant_window c s;
+            let iw = Compiled.inv_window s in
+            if Window.is_empty iw 0 then
               verdict :=
                 Some (dead Unsat_timelock "invariant violated with no escape")
             else begin
-              let timed = Compiled.discrete c s inv_win in
-              let markov = Compiled.markovian c s in
+              let n_timed = Compiled.discrete c s in
+              let n_markov = Compiled.markovian c s in
               let race =
-                match markov with
-                | [] -> None
-                | _ ->
-                  let buf = Compiled.markov_buf s in
-                  let n = ref 0 in
-                  List.iter
-                    (fun (_, _, r) ->
-                      buf.(!n) <- r;
-                      incr n)
-                    markov;
-                  Dist.exponential_race_n rng ~rates:buf ~n:!n
+                if n_markov = 0 then -1
+                else
+                  Dist.exponential_race_into rng ~rates:(Compiled.markov_buf s)
+                    ~n:n_markov ~time:race_t
               in
-              let inv_unbounded = I.sup inv_win = I.Pos_inf in
-              let d_disc =
-                match timed with
-                | [] -> None
-                | _ -> (
-                  match strategy with
-                  | Strategy.Asap ->
-                    timed
-                    |> List.filter_map (fun tm -> I.first_point ~eps tm.Moves.window)
-                    |> List.fold_left Float.min infinity
-                    |> fun d -> if d = infinity then None else Some d
-                  | Strategy.Progressive ->
-                    let w =
-                      List.fold_left
-                        (fun acc tm -> I.union acc tm.Moves.window)
-                        I.empty timed
-                    in
-                    let w =
-                      if I.is_bounded w then w else I.clamp_above remaining w
-                    in
-                    I.sample_uniform (Rng.below rng) w
-                  | Strategy.Local ->
-                    let w =
-                      if I.is_bounded inv_win then inv_win
-                      else I.clamp_above remaining inv_win
-                    in
-                    I.sample_uniform (Rng.below rng) w
-                  | Strategy.Max_time ->
-                    if inv_unbounded then Some (remaining +. 1.0)
-                    else I.last_point_below ~eps infinity inv_win
-                  | Strategy.Scripted _ -> assert false)
+              let has_disc =
+                n_timed > 0
+                && propose_delay s strategy ~eps ~remaining ~n_timed u01 prop
               in
-              let exp_candidate =
-                match race with
-                | Some (idx, t) when I.mem t inv_win ->
-                  let p, tr, _ = List.nth markov idx in
-                  Some (p, tr, t)
-                | _ -> None
-              in
-              let decision =
-                match d_disc, exp_candidate with
-                | None, None ->
-                  if timed = [] && markov = [] then
+              let d = prop.(0) and t = race_t.(0) in
+              let exp_ok = race >= 0 && Window.mem t iw 0 in
+              if (not has_disc) && not exp_ok then begin
+                let inv_unbounded = Window.sup_unbounded iw 0 in
+                let v =
+                  if n_timed = 0 && n_markov = 0 then
                     if inv_unbounded then
-                      Give_up
-                        (dead Unsat_deadlock "no transition will ever be enabled")
+                      dead Unsat_deadlock "no transition will ever be enabled"
                     else
-                      Give_up
-                        (dead Unsat_timelock
-                           "invariant stops time with no enabled transition")
-                  else if timed = [] && markov <> [] then
-                    if inv_unbounded then Give_up Unsat_horizon
+                      dead Unsat_timelock
+                        "invariant stops time with no enabled transition"
+                  else if n_timed = 0 then
+                    if inv_unbounded then Unsat_horizon
                     else
-                      Give_up
-                        (dead Unsat_timelock
-                           "rate transition scheduled past an invariant deadline")
-                  else Give_up Unsat_horizon
-                | Some d, None -> Fire_disc d
-                | None, Some (p, tr, t) -> Fire_markov_tr (p, tr, t)
-                | Some d, Some (p, tr, t) ->
-                  if t < d then Fire_markov_tr (p, tr, t) else Fire_disc d
-              in
-              match decision with
-              | Give_up v ->
+                      dead Unsat_timelock
+                        "rate transition scheduled past an invariant deadline"
+                  else Unsat_horizon
+                in
                 let v =
                   if v = Unsat_horizon then
                     let cap =
-                      match I.sup inv_win with
-                      | I.Fin (b, _) -> Float.min b remaining
-                      | _ -> remaining
+                      if Window.sup_fin iw 0 then Float.min (Window.point iw) remaining
+                      else remaining
                     in
                     match until_crossing_c c s q ~eps ~cap with
                     | Some v' -> v'
@@ -694,20 +682,21 @@ let generate_compiled ?obs ?cost c s q cfg strategy rng =
                   else v
                 in
                 verdict := Some v
-              | Advance_only _ -> assert false (* scripted only *)
-              | Fire_markov_tr (p, tr, d) -> (
-                match until_crossing_c c s q ~eps ~cap:(Float.min d remaining) with
+              end
+              else if exp_ok && ((not has_disc) || t < d) then begin
+                match until_crossing_c c s q ~eps ~cap:(Float.min t remaining) with
                 | Some v -> verdict := Some v
                 | None ->
-                  if d > remaining then verdict := Some Unsat_horizon
+                  if t > remaining then verdict := Some Unsat_horizon
                   else begin
-                    Compiled.apply c s ~delay:d (Moves.Local { proc = p; tr });
+                    Compiled.fire_markov c s ~delay:t race;
                     (match obs with
                     | Some o -> Metrics.incr o.obs_markov_firings
                     | None -> ());
                     zero_advances := 0
-                  end)
-              | Fire_disc d -> (
+                  end
+              end
+              else begin
                 match until_crossing_c c s q ~eps ~cap:(Float.min d remaining) with
                 | Some v -> verdict := Some v
                 | None ->
@@ -716,8 +705,8 @@ let generate_compiled ?obs ?cost c s q cfg strategy rng =
                     (* Both outcomes advance by exactly [d]: advance once,
                        then trial and commit the moves at delay 0. *)
                     Compiled.advance c s d;
-                    match Compiled.enabled_after c s d timed with
-                    | [] ->
+                    match Compiled.enabled_after c s d with
+                    | 0 ->
                       if d <= 0.0 then begin
                         incr zero_advances;
                         if !zero_advances > 1000 then
@@ -729,14 +718,14 @@ let generate_compiled ?obs ?cost c s q cfg strategy rng =
                       (match obs with
                       | Some o -> Metrics.incr o.obs_advances
                       | None -> ())
-                    | moves ->
-                      let move = Dist.uniform_choice rng moves in
-                      Compiled.apply c s move;
+                    | n ->
+                      Compiled.fire c s (Dist.uniform_index rng n);
                       (match obs with
                       | Some o -> Metrics.incr o.obs_delay_firings
                       | None -> ());
                       zero_advances := 0
-                  end)
+                  end
+              end
             end
           end
         end

@@ -14,6 +14,7 @@
    itself, and hence the verdict/error stream, does not). *)
 
 module I = Slimsim_intervals.Interval_set
+module W = Slimsim_intervals.Window
 
 (* ------------------------------------------------------------------ *)
 (* Scratch state                                                      *)
@@ -50,6 +51,35 @@ type cstate = {
   mutable n_jl : int;
   saved_time : float array;
   mutable saved_time_stale : bool;
+  (* Delay windows (see [Window]): the invariant window and a formula's
+     window in slot 0 of their tables, move [i]'s window in slot [i]. *)
+  inv_w : W.t;
+  goal_w : W.t;
+  move_w : W.t;
+  (* The move buffer.  Move [i] is local when [mv_proc.(i) >= 0], with
+     transition [mv_tr.(i)]; otherwise it synchronizes event
+     [-1 - mv_proc.(i)] over the [mv_np.(i)] (proc, transition) pairs
+     at [parts.(mv_tr.(i))]. *)
+  mutable mv_proc : int array;
+  mutable mv_tr : int array;
+  mutable mv_np : int array;
+  mutable n_moves : int;
+  mutable parts : int array;
+  mutable n_parts : int;
+  (* Synchronization candidates: windows, transitions, and per active
+     participant its first candidate, candidate count and odometer
+     digit. *)
+  cand_w : W.t;
+  mutable cand_tr : int array;
+  sync_procs : int array;
+  cand_start : int array;
+  cand_n : int array;
+  odo : int array;
+  (* The Markov race: entry [k] is transition [markov_tr.(k)] of process
+     [markov_proc.(k)], with its rate in [markov_buf.(k)]. *)
+  markov_proc : int array;
+  markov_tr : int array;
+  lin : float array;  (* [a; b] of the comparison a window writer solves *)
 }
 
 let time s = s.time.(0)
@@ -72,9 +102,16 @@ let get_v s v =
   end
   else Array.unsafe_get s.vals v
 
-let get_f s v =
+(* [Value.as_float], inlined: a call across the module boundary would
+   box its result. *)
+let[@inline] num_of_value = function
+  | Value.Int n -> float_of_int n
+  | Value.Real x -> x
+  | Value.Bool _ as b -> Value.as_float b (* raises the type error *)
+
+let[@inline] get_f s v =
   if Bytes.unsafe_get s.ftag v = '\001' then Array.unsafe_get s.fval v
-  else Value.as_float (Array.unsafe_get s.vals v)
+  else num_of_value (Array.unsafe_get s.vals v)
 
 (* Read-only views for cost extraction: the current numeric value of a
    variable and its derivative as of the last [set_rates]. *)
@@ -116,7 +153,7 @@ let set_loc s p l =
   if s.trial then journal_loc s p;
   s.locs.(p) <- l
 
-let set_f s v x =
+let[@inline] set_f s v x =
   Array.unsafe_set s.fval v x;
   Bytes.unsafe_set s.ftag v '\001'
 
@@ -146,6 +183,24 @@ let make_cstate ~locs ~vals ~rates ~time ~n_flows ~n_markov =
     n_jl = 0;
     saved_time = [| time |];
     saved_time_stale = false;
+    inv_w = W.create 1;
+    goal_w = W.create 1;
+    move_w = W.create 8;
+    mv_proc = Array.make 8 0;
+    mv_tr = Array.make 8 0;
+    mv_np = Array.make 8 0;
+    n_moves = 0;
+    parts = Array.make 8 0;
+    n_parts = 0;
+    cand_w = W.create 8;
+    cand_tr = Array.make 8 0;
+    sync_procs = Array.make np 0;
+    cand_start = Array.make np 0;
+    cand_n = Array.make np 0;
+    odo = Array.make np 0;
+    markov_proc = Array.make n_markov 0;
+    markov_tr = Array.make n_markov 0;
+    lin = [| 0.0; 0.0 |];
   }
 
 let cstate_of ~locs ~vals ~rates ~time =
@@ -193,6 +248,19 @@ let rec definitely_real : Expr.t -> bool = function
   | Binop ((Mod | And | Or | Implies | Eq | Neq | Lt | Le | Gt | Ge), _, _) ->
     false
   | Ite (_, a, b) -> definitely_real a && definitely_real b
+
+(* A comparison operand read without a closure: a variable, or a
+   numeric constant with its float value ([compile_float]'s). *)
+type operand = Ovar of int | Oconst of Value.t * float
+
+let operand : Expr.t -> operand option = function
+  | Var v -> Some (Ovar v)
+  | Const ((Value.Int _ | Value.Real _) as v) -> Some (Oconst (v, Value.as_float v))
+  | _ -> None
+
+let[@inline] op_rate s = function Ovar v -> s.rates.(v) | Oconst _ -> 0.0
+let[@inline] op_float s = function Ovar v -> get_f s v | Oconst (_, x) -> x
+let op_value s = function Ovar v -> get_v s v | Oconst (v, _) -> v
 
 let rec compile_value (e : Expr.t) : cvalue =
   match e with
@@ -271,6 +339,23 @@ and compile_bool (e : Expr.t) : cbool =
         let v1 = c1 s in
         let v2 = c2 s in
         Value.equal v1 v2)
+  | Binop ((Lt | Le | Gt | Ge) as op, e1, e2)
+    when Option.is_some (operand e1) && Option.is_some (operand e2) -> (
+    (* [compile_float] of each side, read in place. *)
+    let o1 = Option.get (operand e1) and o2 = Option.get (operand e2) in
+    match op with
+    | Lt -> fun s ->
+        let x = op_float s o1 in
+        Float.compare x (op_float s o2) < 0
+    | Le -> fun s ->
+        let x = op_float s o1 in
+        Float.compare x (op_float s o2) <= 0
+    | Gt -> fun s ->
+        let x = op_float s o1 in
+        Float.compare x (op_float s o2) > 0
+    | _ -> fun s ->
+        let x = op_float s o1 in
+        Float.compare x (op_float s o2) >= 0)
   | Binop ((Lt | Le | Gt | Ge) as op, e1, e2) ->
     let c1 = compile_float e1 and c2 = compile_float e2 in
     (* [Float.compare] matches [Value.compare_num]'s total order (it
@@ -535,12 +620,174 @@ and compile_sat (e : Expr.t) : csat =
       I.union (I.inter cset s1) (I.inter (I.complement cset) s2)
 
 (* ------------------------------------------------------------------ *)
+(* Window writers                                                     *)
+
+(* A window writer intersects a formula's delay sat-set into a convex
+   window slot, in place: [I.inter slot (Linear.sat_set e)].  Staged
+   only for formulas whose sat-set is provably one interval or empty:
+   conjunctions of literals, where a literal is a Boolean constant,
+   variable or location atom (possibly negated), or a comparison other
+   than [<>] (negated only when it is an order) between variables and
+   numeric constants.  Every literal is evaluated, left to
+   right, with [compile_sym]'s reads and float operations, so the same
+   exception is raised first; a NaN bound raises [W.Nan_bound] and the
+   caller recomputes the window through [compile_sat]. *)
+type cwin = cstate -> W.t -> int -> unit
+
+(* [op] is one of [Lt Le Gt Ge Eq]; [neg] complements the sat-set.
+   When both sides are delay-invariant, [Value.equal] /
+   [Value.compare_num] decide (as [compile_bool] compares them);
+   otherwise [Linear.solve_cmp op {a; b}] on the promoted operands. *)
+let cmp_literal ~neg (op : Expr.binop) o1 o2 : cwin =
+  let code =
+    match op with
+    | Lt -> W.cmp_lt
+    | Le -> W.cmp_le
+    | Gt -> W.cmp_gt
+    | Ge -> W.cmp_ge
+    | _ -> W.cmp_eq
+  in
+  let ordered c =
+    match op with Lt -> c < 0 | Le -> c <= 0 | Gt -> c > 0 | _ -> c >= 0
+  in
+  match o1, o2 with
+  | Ovar v, Oconst (k, y) ->
+    (* The common [x ⋈ c], without the operand dispatch. *)
+    fun s w i ->
+      let r = s.rates.(v) in
+      if r = 0.0 then begin
+        let holds =
+          if code = W.cmp_eq then Value.equal (get_v s v) k
+          else ordered (Float.compare (get_f s v) y)
+        in
+        if holds = neg then W.set_empty w i
+      end
+      else begin
+        s.lin.(0) <- get_f s v -. y;
+        s.lin.(1) <- r;
+        W.meet_cmp w i ~op:code ~neg s.lin
+      end
+  | _ ->
+    fun s w i ->
+      let r1 = op_rate s o1 in
+      let r2 = op_rate s o2 in
+      if r1 = 0.0 && r2 = 0.0 then begin
+        let holds =
+          if code = W.cmp_eq then Value.equal (op_value s o1) (op_value s o2)
+          else
+            let x = op_float s o1 in
+            ordered (Float.compare x (op_float s o2))
+        in
+        if holds = neg then W.set_empty w i
+      end
+      else begin
+        let x = op_float s o1 in
+        s.lin.(0) <- x -. op_float s o2;
+        s.lin.(1) <- r1 -. r2;
+        W.meet_cmp w i ~op:code ~neg s.lin
+      end
+
+(* A delay-invariant atom, [want] = false under an odd number of
+   negations. *)
+let rec bool_literal want (e : Expr.t) : cwin option =
+  match e with
+  | Var v -> Some (fun s w i -> if Value.as_bool (get_v s v) <> want then W.set_empty w i)
+  | Loc (p, l) -> Some (fun s w i -> if (s.locs.(p) = l) <> want then W.set_empty w i)
+  | Const _ ->
+    let c = compile_bool e in
+    Some (fun s w i -> if c s <> want then W.set_empty w i)
+  | Unop (Not, e1) -> bool_literal (not want) e1
+  | _ -> None
+
+(* A comparison reading only [untimed] variables (whose rate is always
+   0) is delay-invariant: [compile_sym] makes both sides [Disc], and
+   its sat-set is everything or nothing as [compile_bool] decides —
+   any comparison, [<>] and arithmetic operands included.  Not through
+   an [Ite]: [Linear.sat_set] decides its condition without
+   short-circuits. *)
+let literal ~untimed (e : Expr.t) : cwin option =
+  let rec no_ite : Expr.t -> bool = function
+    | Const _ | Var _ | Loc _ -> true
+    | Unop (_, e) -> no_ite e
+    | Binop (_, e1, e2) -> no_ite e1 && no_ite e2
+    | Ite _ -> false
+  in
+  let invariant e = no_ite e && List.for_all untimed (Expr.free_vars e) in
+  let decided ~want e =
+    let c = compile_bool e in
+    Some (fun s w i -> if c s <> want then W.set_empty w i)
+  in
+  let cmp ~neg op e1 e2 =
+    match operand e1, operand e2 with
+    | Some o1, Some o2 -> Some (cmp_literal ~neg op o1 o2)
+    | _ -> None
+  in
+  match e with
+  | Binop ((Lt | Le | Gt | Ge | Eq | Neq), _, _) when invariant e -> decided ~want:true e
+  | Unop (Not, (Binop ((Lt | Le | Gt | Ge | Eq | Neq), _, _) as e1)) when invariant e1 ->
+    decided ~want:false e1
+  | Binop (((Lt | Le | Gt | Ge | Eq) as op), e1, e2) -> cmp ~neg:false op e1 e2
+  | Unop (Not, Binop (((Lt | Le | Gt | Ge) as op), e1, e2)) -> cmp ~neg:true op e1 e2
+  | _ -> bool_literal true e
+
+let compile_writer ~untimed (e : Expr.t) : cwin option =
+  let rec conjuncts acc (e : Expr.t) =
+    match e with
+    | Binop (And, e1, e2) -> Option.bind (conjuncts acc e1) (fun acc -> conjuncts acc e2)
+    | _ -> Option.map (fun l -> l :: acc) (literal ~untimed e)
+  in
+  match conjuncts [] e with
+  | None -> None
+  | Some [ l ] -> Some l
+  | Some [ l2; l1 ] ->
+    Some
+      (fun s w i ->
+        l1 s w i;
+        l2 s w i)
+  | Some [ l3; l2; l1 ] ->
+    Some
+      (fun s w i ->
+        l1 s w i;
+        l2 s w i;
+        l3 s w i)
+  | Some ls ->
+    let ls = Array.of_list (List.rev ls) in
+    Some
+      (fun s w i ->
+        for k = 0 to Array.length ls - 1 do
+          ls.(k) s w i
+        done)
+
+(* A left-nested disjunction of conjunctions (how [a or b or c]
+   parses): [Linear.sat_set]'s [I.union] of the disjuncts, left to
+   right. *)
+let compile_disjuncts ~untimed (e : Expr.t) : cwin array option =
+  let rec go acc (e : Expr.t) =
+    match e with
+    | Binop (Or, e1, e2) ->
+      Option.bind (compile_writer ~untimed e2) (fun w -> go (w :: acc) e1)
+    | _ -> Option.map (fun w -> Array.of_list (w :: acc)) (compile_writer ~untimed e)
+  in
+  go [] e
+
+let compile_window ?(untimed = fun _ -> false) e =
+  Option.map
+    (fun (wr : cwin) s ->
+      let w = W.create 1 in
+      W.set_full w 0;
+      wr s w 0;
+      W.meet_lo w 0 ~closed:true 0.0;
+      W.to_set w 0)
+    (compile_writer ~untimed e)
+
+(* ------------------------------------------------------------------ *)
 (* Compiled network tables                                            *)
 
 type ctrans = {
   tr_id : int;  (* index into [Automaton.transitions], for [Moves] parity *)
   t_dst : int;
   t_guard : csat;
+  t_win : cwin option;  (* the guard's window writer, when convex *)
   t_rate : float;  (* 0 for guarded transitions *)
   t_updates : (int * cvalue) array;
 }
@@ -548,6 +795,7 @@ type ctrans = {
 type cloc = {
   inv_trivial : bool;
   inv_sat : csat;
+  inv_win : cwin option;
   inv_bool : cbool;
   l_derivs : (int * float) array;
   tau : ctrans array;  (* guarded τ transitions, in outgoing order *)
@@ -569,6 +817,7 @@ type t = {
   net : Network.t;
   cprocs : cproc array;
   cflows : (int * cvalue) array;  (* (target, expr), readers after writers *)
+  participants : int array array;  (* per event, [Network.participants] *)
   (* Flow cone indexes, by flow index into [cflows]: *)
   var_readers : int array array;  (* flows reading each variable *)
   var_hits : int array array;
@@ -578,8 +827,19 @@ type t = {
   time_flows : int array;  (* flows reading or writing a time-varying variable *)
   inits : Value.t array;
   clocks : (int * int) array;  (* (var, owner + 1); 0 = unowned *)
+  timed : Bytes.t;  (* flags the variables a rate can be non-zero for *)
+  timed_vars : int array;  (* the same, ascending *)
   n_vars : int;
   n_procs : int;
+  (* The processes each per-process pass visits, in order: those whose
+     tables give the pass something to do in some location, plus every
+     process whose activity condition could raise — skipping its
+     evaluation would change which exception a step raises. *)
+  inv_procs : int array;  (* a non-trivial invariant *)
+  deriv_procs : int array;  (* a location derivative *)
+  markov_procs : int array;  (* a rate transition *)
+  tau_procs : int array;  (* a guarded τ transition *)
+  step_procs : int array;  (* the restart policy: [step]'s activity passes *)
 }
 
 let network c = c.net
@@ -590,6 +850,22 @@ let compile (net : Network.t) : t =
   let compile_updates ups =
     Array.of_list (List.map (fun (v, e) -> (v, compile_value e)) ups)
   in
+  let n_vars = Array.length net.vars and n_procs = Array.length net.procs in
+  (* Variables whose value can change with time passage: clocks,
+     continuous variables and anything a location gives a derivative. *)
+  let timed = Bytes.make n_vars '\000' in
+  Array.iteri
+    (fun v (info : Network.var_info) ->
+      if info.kind <> Network.Discrete then Bytes.set timed v '\001')
+    net.vars;
+  Array.iter
+    (fun (proc : Automaton.t) ->
+      Array.iter
+        (fun (loc : Automaton.location) ->
+          List.iter (fun (v, _) -> Bytes.set timed v '\001') loc.Automaton.derivs)
+        proc.locations)
+    net.procs;
+  let untimed v = Bytes.get timed v = '\000' in
   let trivially_full : csat = fun _ -> I.full in
   let no_candidates : ctrans array array = Array.make (max n_events 1) [||] in
   let cprocs =
@@ -606,6 +882,10 @@ let compile (net : Network.t) : t =
                      (match tr.Automaton.guard with
                      | Automaton.Guard g -> compile_sat g
                      | Automaton.Rate _ -> trivially_full);
+                   t_win =
+                     (match tr.Automaton.guard with
+                     | Automaton.Guard g -> compile_writer ~untimed g
+                     | Automaton.Rate _ -> None);
                    t_rate =
                      (match tr.Automaton.guard with
                      | Automaton.Rate r -> r
@@ -658,6 +938,7 @@ let compile (net : Network.t) : t =
               {
                 inv_trivial = loc.Automaton.invariant = Expr.true_;
                 inv_sat = compile_sat loc.Automaton.invariant;
+                inv_win = compile_writer ~untimed loc.Automaton.invariant;
                 inv_bool = compile_bool loc.Automaton.invariant;
                 l_derivs = Array.of_list loc.Automaton.derivs;
                 tau;
@@ -677,21 +958,6 @@ let compile (net : Network.t) : t =
         })
       net.procs
   in
-  let n_vars = Array.length net.vars and n_procs = Array.length net.procs in
-  (* Variables whose value can change with time passage: clocks,
-     continuous variables and anything a location gives a derivative. *)
-  let timed = Bytes.make n_vars '\000' in
-  Array.iteri
-    (fun v (info : Network.var_info) ->
-      if info.kind <> Network.Discrete then Bytes.set timed v '\001')
-    net.vars;
-  Array.iter
-    (fun (proc : Automaton.t) ->
-      Array.iter
-        (fun (loc : Automaton.location) ->
-          List.iter (fun (v, _) -> Bytes.set timed v '\001') loc.Automaton.derivs)
-        proc.locations)
-    net.procs;
   (* Reader indexes in one pass over the sorted flows.  Flow [i] is
      visited whole before flow [i + 1], so a repeated read shows up as
      [i] at the head of the list and is skipped without sorting. *)
@@ -722,11 +988,28 @@ let compile (net : Network.t) : t =
     net.flows;
   let rev_array l = Array.of_list (List.rev l) in
   let var_readers = Array.map rev_array readers in
+  (* Activity conditions built from locations and Boolean constants
+     cannot raise. *)
+  let rec quiet : Expr.t -> bool = function
+    | Const (Value.Bool _) | Loc _ -> true
+    | Unop (Not, e) -> quiet e
+    | Binop ((And | Or | Implies), e1, e2) -> quiet e1 && quiet e2
+    | _ -> false
+  in
+  let procs_where f =
+    Array.of_list
+      (List.filter
+         (fun p ->
+           (not (quiet net.meta.(p).Network.active_when)) || f p cprocs.(p))
+         (List.init n_procs Fun.id))
+  in
+  let some_loc f cp = Array.exists f cp.p_locs in
   {
     net;
     cprocs;
     cflows =
       Array.map (fun (f : Network.flow) -> (f.target, compile_value f.expr)) net.flows;
+    participants = Array.map Array.of_list net.participants;
     var_readers;
     var_hits =
       Array.mapi
@@ -744,8 +1027,17 @@ let compile (net : Network.t) : t =
                Some (v, match info.owner with None -> 0 | Some p -> p + 1)
              | Network.Discrete | Network.Continuous -> None)
            (List.mapi (fun v info -> (v, info)) (Array.to_list net.vars)));
+    timed;
+    timed_vars =
+      Array.of_list
+        (List.filter (fun v -> Bytes.get timed v <> '\000') (List.init n_vars Fun.id));
     n_vars;
     n_procs;
+    inv_procs = procs_where (fun _ -> some_loc (fun cl -> not cl.inv_trivial));
+    deriv_procs = procs_where (fun _ -> some_loc (fun cl -> cl.l_derivs <> [||]));
+    markov_procs = procs_where (fun _ -> some_loc (fun cl -> cl.markov <> [||]));
+    tau_procs = procs_where (fun _ -> some_loc (fun cl -> cl.tau <> [||]));
+    step_procs = procs_where (fun _ cp -> cp.p_restart);
   }
 
 let proc_active c s p =
@@ -831,15 +1123,21 @@ let reset c s =
   run_flows c s
 
 (* Mirrors [State.rate_array]: clocks of active owners tick at 1, then
-   location-specific derivatives of active processes override. *)
+   location-specific derivatives of active processes override.  Only
+   clocks and derivative targets are ever written, so only they need
+   resetting. *)
 let set_rates c s =
-  Array.fill s.rates 0 c.n_vars 0.0;
+  let timed = c.timed_vars in
+  for k = 0 to Array.length timed - 1 do
+    s.rates.(timed.(k)) <- 0.0
+  done;
   let clocks = c.clocks in
   for i = 0 to Array.length clocks - 1 do
     let v, owner = clocks.(i) in
     if owner = 0 || proc_active c s (owner - 1) then s.rates.(v) <- 1.0
   done;
-  for p = 0 to c.n_procs - 1 do
+  for k = 0 to Array.length c.deriv_procs - 1 do
+    let p = c.deriv_procs.(k) in
     let cp = c.cprocs.(p) in
     if cp.active_trivial || cp.active s then begin
       let derivs = cp.p_locs.(s.locs.(p)).l_derivs in
@@ -855,7 +1153,9 @@ let set_rates c s =
    only: the writes are not journaled. *)
 let advance c s d =
   if d <> 0.0 then begin
-    for v = 0 to c.n_vars - 1 do
+    let timed = c.timed_vars in
+    for k = 0 to Array.length timed - 1 do
+      let v = timed.(k) in
       let r = s.rates.(v) in
       if r <> 0.0 then set_f s v (get_f s v +. (r *. d))
     done;
@@ -865,8 +1165,9 @@ let advance c s d =
 
 (* [advance] inside a trial: journal what it is about to write. *)
 let advance_journaled c s d =
-  for v = 0 to c.n_vars - 1 do
-    if s.rates.(v) <> 0.0 then journal_var s v
+  let timed = c.timed_vars in
+  for k = 0 to Array.length timed - 1 do
+    if s.rates.(timed.(k)) <> 0.0 then journal_var s timed.(k)
   done;
   advance c s d
 
@@ -929,11 +1230,17 @@ let eval_bool_after c s ~cap (f : cbool) =
 (* ------------------------------------------------------------------ *)
 (* Moves (mirrors [Moves], table-driven)                              *)
 
+(* Writers decline with [Fallback] (no writer) or [W.Nan_bound]; the
+   window is then recomputed through the [csat] closures. *)
+exception Fallback
+
 let nonneg = I.at_least 0.0
 
-let invariant_window c s =
+(* [Moves.invariant_window] over the [csat] closures. *)
+let invariant_set c s =
   let inv_set = ref I.full in
-  for p = 0 to c.n_procs - 1 do
+  for k = 0 to Array.length c.inv_procs - 1 do
+    let p = c.inv_procs.(k) in
     let cp = c.cprocs.(p) in
     if cp.active_trivial || cp.active s then begin
       let cl = cp.p_locs.(s.locs.(p)) in
@@ -944,89 +1251,215 @@ let invariant_window c s =
   | None -> I.empty
   | Some iv -> I.make iv.I.lo iv.I.hi
 
-let rec cartesian = function
-  | [] -> [ [] ]
-  | choices :: rest ->
-    let tails = cartesian rest in
-    List.concat_map (fun c -> List.map (fun t -> c :: t) tails) choices
+let invariant_window c s =
+  let w = s.inv_w in
+  match
+    W.set_full w 0;
+    for k = 0 to Array.length c.inv_procs - 1 do
+      let p = c.inv_procs.(k) in
+      let cp = c.cprocs.(p) in
+      if cp.active_trivial || cp.active s then begin
+        let cl = cp.p_locs.(s.locs.(p)) in
+        if not cl.inv_trivial then
+          match cl.inv_win with Some wr -> wr s w 0 | None -> raise_notrace Fallback
+      end
+    done;
+    W.meet_lo w 0 ~closed:true 0.0;
+    (* [component_at 0.0] of a convex window *)
+    if not (W.mem 0.0 w 0) then W.set_empty w 0
+  with
+  | () -> ()
+  | exception (Fallback | W.Nan_bound) -> W.set_set w 0 (invariant_set c s)
 
-let discrete c s inv_win =
-  if I.is_empty inv_win then []
+let inv_window s = s.inv_w
+let move_windows s = s.move_w
+let goal_window s = s.goal_w
+
+(* Window [i] of [w] := invariant window ∩ the guard's sat-set, through
+   the writer when both are convex. *)
+let guard_by_sets s tr w i = W.set_set w i (I.inter (W.to_set s.inv_w 0) (tr.t_guard s))
+
+let guard_window s ~inv_convex tr w i =
+  match tr.t_win with
+  | Some wr when inv_convex -> (
+    W.copy s.inv_w 0 w i;
+    match wr s w i with () -> () | exception W.Nan_bound -> guard_by_sets s tr w i)
+  | _ -> guard_by_sets s tr w i
+
+let grow_ints a n =
+  if n <= Array.length a then a
   else begin
-    let moves = ref [] in
+    let b = Array.make (max n (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* Claim move slot [s.n_moves] (committed by incrementing [n_moves]). *)
+let reserve_move s =
+  let k = s.n_moves in
+  if k >= Array.length s.mv_proc then begin
+    W.ensure s.move_w (k + 1);
+    s.mv_proc <- grow_ints s.mv_proc (k + 1);
+    s.mv_tr <- grow_ints s.mv_tr (k + 1);
+    s.mv_np <- grow_ints s.mv_np (k + 1)
+  end;
+  k
+
+(* Every combination of the candidates of the [na] active participants
+   of event [e], first participant slowest ([Moves]' cartesian order),
+   whose joint window is non-empty. *)
+let push_syncs s ~inv_convex e na =
+  for j = 0 to na - 1 do
+    s.odo.(j) <- 0
+  done;
+  let more = ref true in
+  while !more do
+    let k = reserve_move s in
+    let convex = ref inv_convex in
+    for j = 0 to na - 1 do
+      if not (W.is_convex s.cand_w (s.cand_start.(j) + s.odo.(j))) then convex := false
+    done;
+    if !convex then begin
+      W.copy s.inv_w 0 s.move_w k;
+      for j = 0 to na - 1 do
+        W.meet s.move_w k s.cand_w (s.cand_start.(j) + s.odo.(j))
+      done
+    end
+    else begin
+      let acc = ref (W.to_set s.inv_w 0) in
+      for j = 0 to na - 1 do
+        acc := I.inter !acc (W.to_set s.cand_w (s.cand_start.(j) + s.odo.(j)))
+      done;
+      W.set_set s.move_w k !acc
+    end;
+    if not (W.is_empty s.move_w k) then begin
+      let off = s.n_parts in
+      s.parts <- grow_ints s.parts (off + (2 * na));
+      for j = 0 to na - 1 do
+        s.parts.(off + (2 * j)) <- s.sync_procs.(j);
+        s.parts.(off + (2 * j) + 1) <- s.cand_tr.(s.cand_start.(j) + s.odo.(j))
+      done;
+      s.n_parts <- off + (2 * na);
+      s.mv_proc.(k) <- -1 - e;
+      s.mv_tr.(k) <- off;
+      s.mv_np.(k) <- na;
+      s.n_moves <- k + 1
+    end;
+    (* next combination: the last participant's digit turns fastest *)
+    let j = ref (na - 1) in
+    while !j >= 0 && s.odo.(!j) + 1 = s.cand_n.(!j) do
+      s.odo.(!j) <- 0;
+      decr j
+    done;
+    if !j < 0 then more := false else s.odo.(!j) <- s.odo.(!j) + 1
+  done
+
+let discrete c s =
+  s.n_moves <- 0;
+  s.n_parts <- 0;
+  if not (W.is_empty s.inv_w 0) then begin
+    let inv_convex = W.is_convex s.inv_w 0 in
     (* Local τ moves, in process then outgoing order. *)
-    for p = 0 to c.n_procs - 1 do
+    for k = 0 to Array.length c.tau_procs - 1 do
+      let p = c.tau_procs.(k) in
       let cp = c.cprocs.(p) in
       if cp.active_trivial || cp.active s then begin
         let tau = cp.p_locs.(s.locs.(p)).tau in
         for i = 0 to Array.length tau - 1 do
           let tr = tau.(i) in
-          let w = I.inter inv_win (tr.t_guard s) in
-          if not (I.is_empty w) then
-            moves :=
-              { Moves.move = Moves.Local { proc = p; tr = tr.tr_id }; window = w }
-              :: !moves
+          let k = reserve_move s in
+          guard_window s ~inv_convex tr s.move_w k;
+          if not (W.is_empty s.move_w k) then begin
+            s.mv_proc.(k) <- p;
+            s.mv_tr.(k) <- tr.tr_id;
+            s.n_moves <- k + 1
+          end
         done
       end
     done;
-    (* Multiway synchronizations. *)
-    Array.iteri
-      (fun e parts ->
-        let active_parts = List.filter (fun p -> proc_active c s p) parts in
-        if active_parts <> [] then begin
-          let per_proc =
-            List.map
-              (fun p ->
-                let cands = c.cprocs.(p).p_locs.(s.locs.(p)).by_event.(e) in
-                let cs =
-                  Array.fold_right
-                    (fun tr acc ->
-                      let w = I.inter inv_win (tr.t_guard s) in
-                      if I.is_empty w then acc else (tr.tr_id, w) :: acc)
-                    cands []
-                in
-                (p, cs))
-              active_parts
-          in
-          if List.for_all (fun (_, cs) -> cs <> []) per_proc then
-            let combos =
-              cartesian
-                (List.map (fun (p, cs) -> List.map (fun c -> (p, c)) cs) per_proc)
-            in
-            List.iter
-              (fun combo ->
-                let w =
-                  List.fold_left (fun acc (_, (_, wi)) -> I.inter acc wi) inv_win
-                    combo
-                in
-                if not (I.is_empty w) then
-                  let parts = List.map (fun (p, (ti, _)) -> (p, ti)) combo in
-                  moves :=
-                    { Moves.move = Moves.Sync { event = e; parts }; window = w }
-                    :: !moves)
-              combos
-        end)
-      c.net.Network.participants;
-    List.rev !moves
-  end
+    (* Multiway synchronizations: every active participant must offer a
+       candidate.  All activity conditions are evaluated before any
+       guard, as in [Moves]. *)
+    for e = 0 to Array.length c.participants - 1 do
+      let parts = c.participants.(e) in
+      let na = ref 0 in
+      for j = 0 to Array.length parts - 1 do
+        let p = parts.(j) in
+        if proc_active c s p then begin
+          s.sync_procs.(!na) <- p;
+          incr na
+        end
+      done;
+      let na = !na in
+      if na > 0 then begin
+        let n_cands = ref 0 and offered = ref true in
+        for j = 0 to na - 1 do
+          let p = s.sync_procs.(j) in
+          let cands = c.cprocs.(p).p_locs.(s.locs.(p)).by_event.(e) in
+          s.cand_start.(j) <- !n_cands;
+          for i = 0 to Array.length cands - 1 do
+            let k = !n_cands in
+            if k >= Array.length s.cand_tr then begin
+              W.ensure s.cand_w (k + 1);
+              s.cand_tr <- grow_ints s.cand_tr (k + 1)
+            end;
+            guard_window s ~inv_convex cands.(i) s.cand_w k;
+            if not (W.is_empty s.cand_w k) then begin
+              s.cand_tr.(k) <- cands.(i).tr_id;
+              n_cands := k + 1
+            end
+          done;
+          s.cand_n.(j) <- !n_cands - s.cand_start.(j);
+          if s.cand_n.(j) = 0 then offered := false
+        done;
+        if !offered then push_syncs s ~inv_convex e na
+      end
+    done
+  end;
+  s.n_moves
+
+let move s i : Moves.move =
+  let p = s.mv_proc.(i) in
+  if p >= 0 then Moves.Local { proc = p; tr = s.mv_tr.(i) }
+  else
+    let off = s.mv_tr.(i) in
+    Moves.Sync
+      {
+        event = -1 - p;
+        parts =
+          List.init s.mv_np.(i) (fun j ->
+              (s.parts.(off + (2 * j)), s.parts.(off + (2 * j) + 1)));
+      }
+
+let timed_moves s =
+  List.init s.n_moves (fun i -> { Moves.move = move s i; window = W.to_set s.move_w i })
 
 let markovian c s =
-  let out = ref [] in
-  for p = 0 to c.n_procs - 1 do
+  let n = ref 0 in
+  for j = 0 to Array.length c.markov_procs - 1 do
+    let p = c.markov_procs.(j) in
     let cp = c.cprocs.(p) in
     if cp.active_trivial || cp.active s then begin
       let markov = cp.p_locs.(s.locs.(p)).markov in
       for i = 0 to Array.length markov - 1 do
         let tr = markov.(i) in
-        out := (p, tr.tr_id, tr.t_rate) :: !out
+        let k = !n in
+        s.markov_buf.(k) <- tr.t_rate;
+        s.markov_proc.(k) <- p;
+        s.markov_tr.(k) <- tr.tr_id;
+        n := k + 1
       done
     end
   done;
-  List.rev !out
+  !n
+
+let markov_proc s k = s.markov_proc.(k)
+let markov_tr s k = s.markov_tr.(k)
 
 let invariants_hold c s =
   let ok = ref true in
-  for p = 0 to c.n_procs - 1 do
+  for k = 0 to Array.length c.inv_procs - 1 do
+    let p = c.inv_procs.(k) in
     let cp = c.cprocs.(p) in
     if !ok && (cp.active_trivial || cp.active s) then begin
       let cl = cp.p_locs.(s.locs.(p)) in
@@ -1040,23 +1473,17 @@ let invariants_hold c s =
    the flow cone is evaluated, and the second pass runs only when a
    process restarted: without a restart it would rewrite every target
    with the value it already holds. *)
-let step c s (move : Moves.move) =
-  for p = 0 to c.n_procs - 1 do
+let begin_step c s =
+  for k = 0 to Array.length c.step_procs - 1 do
+    let p = c.step_procs.(k) in
     Bytes.set s.was_active p (if proc_active c s p then '\001' else '\000')
-  done;
-  (match move with
-  | Moves.Local { proc; tr } ->
-    let ct = c.cprocs.(proc).p_trans.(tr) in
-    apply_updates c s ct.t_updates;
-    switch_loc c s proc ct.t_dst
-  | Moves.Sync { parts; _ } ->
-    List.iter
-      (fun (p, ti) -> apply_updates c s c.cprocs.(p).p_trans.(ti).t_updates)
-      parts;
-    List.iter (fun (p, ti) -> switch_loc c s p c.cprocs.(p).p_trans.(ti).t_dst) parts);
+  done
+
+let end_step c s =
   run_flows c s;
   let restarted = ref false in
-  for p = 0 to c.n_procs - 1 do
+  for k = 0 to Array.length c.step_procs - 1 do
+    let p = c.step_procs.(k) in
     if
       Bytes.get s.was_active p = '\000'
       && proc_active c s p
@@ -1068,27 +1495,77 @@ let step c s (move : Moves.move) =
   done;
   if !restarted then run_flows c s
 
-let apply c s ?(delay = 0.0) move =
-  advance c s delay;
-  step c s move
+let step_local c s p tr =
+  begin_step c s;
+  let ct = c.cprocs.(p).p_trans.(tr) in
+  apply_updates c s ct.t_updates;
+  switch_loc c s p ct.t_dst;
+  end_step c s
 
-let enabled_after c s d timed_moves =
-  List.filter_map
-    (fun { Moves.move; window } ->
-      if I.mem d window then begin
-        begin_trial s;
-        let r =
-          try Ok (step c s move; invariants_hold c s)
-          with e -> Error e
-        in
-        end_trial s;
-        match r with
-        | Ok true -> Some move
-        | Ok false -> None
-        | Error e -> raise e
+(* Buffered move [i]. *)
+let step_move c s i =
+  let p = s.mv_proc.(i) in
+  if p >= 0 then step_local c s p s.mv_tr.(i)
+  else begin
+    begin_step c s;
+    let off = s.mv_tr.(i) and np = s.mv_np.(i) in
+    for j = 0 to np - 1 do
+      let p = s.parts.(off + (2 * j)) and ti = s.parts.(off + (2 * j) + 1) in
+      apply_updates c s c.cprocs.(p).p_trans.(ti).t_updates
+    done;
+    for j = 0 to np - 1 do
+      let p = s.parts.(off + (2 * j)) and ti = s.parts.(off + (2 * j) + 1) in
+      switch_loc c s p c.cprocs.(p).p_trans.(ti).t_dst
+    done;
+    end_step c s
+  end
+
+let apply c s ?(delay = 0.0) (move : Moves.move) =
+  advance c s delay;
+  match move with
+  | Moves.Local { proc; tr } -> step_local c s proc tr
+  | Moves.Sync { parts; _ } ->
+    begin_step c s;
+    List.iter
+      (fun (p, ti) -> apply_updates c s c.cprocs.(p).p_trans.(ti).t_updates)
+      parts;
+    List.iter (fun (p, ti) -> switch_loc c s p c.cprocs.(p).p_trans.(ti).t_dst) parts;
+    end_step c s
+
+let fire c s i = step_move c s i
+
+let fire_markov c s ~delay k =
+  advance c s delay;
+  step_local c s s.markov_proc.(k) s.markov_tr.(k)
+
+(* Keeps, in order and compacted to the front of the buffer, the moves
+   whose window contains [d] and whose trial landing state satisfies
+   the invariants.  Window slots are not moved. *)
+let enabled_after c s d =
+  let kept = ref 0 in
+  for i = 0 to s.n_moves - 1 do
+    if W.mem d s.move_w i then begin
+      begin_trial s;
+      let ok =
+        try
+          step_move c s i;
+          invariants_hold c s
+        with e ->
+          end_trial s;
+          raise e
+      in
+      end_trial s;
+      if ok then begin
+        let k = !kept in
+        s.mv_proc.(k) <- s.mv_proc.(i);
+        s.mv_tr.(k) <- s.mv_tr.(i);
+        s.mv_np.(k) <- s.mv_np.(i);
+        kept := k + 1
       end
-      else None)
-    timed_moves
+    end
+  done;
+  s.n_moves <- !kept;
+  !kept
 
 (* ------------------------------------------------------------------ *)
 (* Formulas (goal / hold properties)                                  *)
@@ -1098,15 +1575,35 @@ type formula = {
   f_trivial : bool;  (* the formula is literally [true] *)
   f_bool : cbool;
   f_sat : csat;
+  f_win : cwin array option;
 }
 
-let compile_formula _c e =
+let compile_formula c e =
   {
     f_expr = e;
     f_trivial = e = Expr.true_;
     f_bool = compile_bool e;
     f_sat = compile_sat e;
+    f_win = compile_disjuncts ~untimed:(fun v -> Bytes.get c.timed v = '\000') e;
   }
+
+let formula_first_point s f ~eps ~cap =
+  match f.f_win with
+  | None -> -1
+  | Some ws -> (
+    let w = s.goal_w and n = Array.length ws in
+    W.ensure w n;
+    match
+      for k = 0 to n - 1 do
+        W.set_full w k;
+        ws.(k) s w k
+      done
+    with
+    | () ->
+      if Float.is_nan cap then -1
+      else if W.first_point_union ~eps w ~n ~cap then 1
+      else 0
+    | exception W.Nan_bound -> -1)
 
 (* ------------------------------------------------------------------ *)
 (* Interop with the immutable reference representation               *)

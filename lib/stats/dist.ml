@@ -1,4 +1,4 @@
-let exponential rng ~rate =
+let[@inline] exponential rng ~rate =
   if rate <= 0.0 then invalid_arg "Dist.exponential: rate must be positive";
   (* 1 - u in (0,1] avoids log 0. *)
   -.log (1.0 -. Rng.float rng) /. rate
@@ -35,6 +35,11 @@ let categorical rng ~weights =
    is unchanged (exactly one [Rng.int] for two or more elements, none
    otherwise), so verdict streams are bit-identical; the determinism
    suite in test/test_compiled.ml pins this down. *)
+let uniform_index rng n =
+  if n <= 0 then invalid_arg "Dist.uniform_index: no choices"
+  else if n = 1 then 0
+  else Rng.int rng n
+
 let uniform_choice rng xs =
   match xs with
   | [] -> invalid_arg "Dist.uniform_choice: empty list"
@@ -62,23 +67,22 @@ let exponential_race rng ~rates =
     let i = categorical rng ~weights:rates in
     Some (i, t)
 
-let exponential_race_n rng ~rates ~n =
+let exponential_race_into rng ~rates ~n ~time =
   let total = ref 0.0 in
   for i = 0 to n - 1 do
     let r = rates.(i) in
-    if r < 0.0 then invalid_arg "Dist.exponential_race_n: negative rate";
+    if r < 0.0 then invalid_arg "Dist.exponential_race_into: negative rate";
     total := !total +. r
   done;
   let total = !total in
-  if total <= 0.0 then None
+  if total <= 0.0 then -1
   else begin
-    let t = exponential rng ~rate:total in
-    let r = Rng.below rng total in
-    let rec pick i acc =
-      if i >= n - 1 then n - 1
-      else
-        let acc = acc +. rates.(i) in
-        if r < acc then i else pick (i + 1) acc
-    in
-    Some (pick 0 0.0, t)
+    time.(0) <- exponential rng ~rate:total;
+    let r = Rng.float rng *. total (* [Rng.below rng total] *) in
+    let i = ref 0 and acc = ref 0.0 and found = ref false in
+    while (not !found) && !i < n - 1 do
+      acc := !acc +. rates.(!i);
+      if r < !acc then found := true else incr i
+    done;
+    !i
   end

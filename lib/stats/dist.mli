@@ -17,14 +17,22 @@ val uniform_choice : Rng.t -> 'a list -> 'a
     [Rng.int] draw for lists of two or more elements and none otherwise,
     and walks the spine once per draw. *)
 
+val uniform_index : Rng.t -> int -> int
+(** The index {!uniform_choice} picks from a list of [n] elements, with
+    the same draws: none when [n = 1], one [Rng.int] otherwise.  Raises
+    [Invalid_argument] when [n <= 0]. *)
+
 val exponential_race : Rng.t -> rates:float array -> (int * float) option
 (** Winner of a race between independent exponentials: samples the
     holding time [Exp(sum rates)] and picks entry [i] with probability
     [rates.(i) / sum].  [None] when every rate is zero or the array is
     empty; raises [Invalid_argument] on a negative rate. *)
 
-val exponential_race_n : Rng.t -> rates:float array -> n:int -> (int * float) option
-(** [exponential_race] restricted to the first [n] entries of a (reused)
-    buffer; draw-for-draw identical to [exponential_race] on
-    [Array.sub rates 0 n], without the allocation.  Raises
-    [Invalid_argument] on a negative rate among the first [n]. *)
+val exponential_race_into :
+  Rng.t -> rates:float array -> n:int -> time:float array -> int
+(** [exponential_race] over the first [n] entries of a (reused) buffer,
+    draw-for-draw identical to it on [Array.sub rates 0 n], without
+    allocating: returns the winner's index and writes the holding time
+    to [time.(0)], or returns [-1] (writing nothing) when no rate is
+    positive.  Raises [Invalid_argument] on a negative rate among the
+    first [n]. *)

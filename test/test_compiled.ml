@@ -9,6 +9,7 @@ module Value = Slimsim_sta.Value
 module Linear = Slimsim_sta.Linear
 module Compiled = Slimsim_sta.Compiled
 module I = Slimsim_intervals.Interval_set
+module Window = Slimsim_intervals.Window
 module Loader = Slimsim_slim.Loader
 module Path = Slimsim_sim.Path
 module Strategy = Slimsim_sim.Strategy
@@ -165,6 +166,72 @@ let prop_sat ((e, ((vals, rates, locs) as st)) : Expr.t * _) =
   let s = cstate_of st in
   let compiled = classify (fun () -> Compiled.compile_sat e s) in
   same_outcome I.equal interp compiled
+
+(* The window writer against [Linear.sat_set ∩ [0, ∞)], wherever
+   [compile_window] stages one; outcomes (including which of
+   [Type_error] / [Nonlinear] is raised first) compare as in
+   [prop_sat].  The variables at rate 0 count as untimed, so
+   delay-invariant comparisons are staged too. *)
+let prop_window ((e, ((vals, rates, locs) as st)) : Expr.t * _) =
+  match Compiled.compile_window ~untimed:(fun v -> rates.(v) = 0.0) e with
+  | None -> true
+  | Some w ->
+    let interp =
+      classify (fun () ->
+          I.inter
+            (Linear.sat_set ~env:(env_of vals)
+               ~rate:(fun v -> rates.(v))
+               ~at_loc:(at_loc_of locs) e)
+            (I.at_least 0.0))
+    in
+    same_outcome I.equal interp (classify (fun () -> w (cstate_of st)))
+
+(* Conjunctions of the literals the writers stage: Boolean atoms and
+   comparisons of variables and numeric constants, possibly negated. *)
+let gen_convex =
+  let open Gen in
+  let operand =
+    oneof
+      [
+        map (fun v -> Expr.Var v) (int_range 0 (n_vars - 1));
+        map (fun n -> Expr.Const (Value.Int n)) (int_range (-4) 4);
+        map (fun x -> Expr.Const (Value.Real x)) (oneofl [ -1.0; 0.0; 0.5; 2.0 ]);
+      ]
+  in
+  let atom =
+    oneof
+      [
+        map (fun v -> Expr.Var v) (int_range 0 (n_vars - 1));
+        map2
+          (fun p l -> Expr.Loc (p, l))
+          (int_range 0 (n_procs - 1))
+          (int_range 0 (n_locs - 1));
+        map (fun b -> Expr.Const (Value.Bool b)) bool;
+      ]
+  in
+  let literal =
+    frequency
+      [
+        (1, atom);
+        (1, map (fun a -> Expr.Unop (Expr.Not, a)) atom);
+        ( 4,
+          map3
+            (fun op a b -> Expr.Binop (op, a, b))
+            (oneofl [ Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge; Expr.Eq ])
+            operand operand );
+        ( 2,
+          map3
+            (fun op a b -> Expr.Unop (Expr.Not, Expr.Binop (op, a, b)))
+            (oneofl [ Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge ])
+            operand operand );
+      ]
+  in
+  let* n = int_range 1 4 in
+  let* lits = list_size (pure n) literal in
+  pure (List.fold_left Expr.and_ (List.hd lits) (List.tl lits))
+
+let prop_convex_window ((e, st) : Expr.t * _) =
+  Compiled.compile_window e <> None && prop_window (e, st)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end verdict-stream equality on the bundled models            *)
@@ -325,6 +392,50 @@ let test_verdicts_restart () =
   check_verdict_stream ~name:"restart" ~goal_src:"progress > 14.0"
     ~horizon:40.0 ~seeds:2 restart_model
 
+(* Guards and invariants with no window writer: [x != 3.0] splits its
+   move's window in two, [x < 1.0 or x > 2.0] is a union, and both
+   invariants are disjunctions, so every window of this model goes
+   through the [compile_sat] fallback; no bundled model has one. *)
+let fallback_model =
+  {|
+device Dial
+features
+  hit: out data port bool := false;
+  n: out data port int [0, 9] := 0;
+end Dial;
+device implementation Dial.I
+subcomponents
+  x: data clock;
+modes
+  a: initial mode while x <= 4.0 or n >= 9;
+  b: mode while x < 1.0 or x > 2.0;
+transitions
+  a -[when x != 3.0 and x >= 0.5 then x := 0.0; n := min(n + 1, 9)]-> b;
+  b -[when x < 1.0 or x > 2.0 then x := 0.0; hit := false]-> a;
+  b -[when x > 0.25 and x != 0.75 then hit := true]-> a;
+end Dial.I;
+
+system Main
+end Main;
+system implementation Main.Imp
+subcomponents
+  dial: device Dial.I in modes (on) restart;
+modes
+  on: initial mode;
+  off: mode;
+transitions
+  on -[rate 0.3]-> off;
+  off -[rate 1.0]-> on;
+end Main.Imp;
+
+root Main.Imp;
+|}
+
+let test_verdicts_fallback () =
+  check_verdict_stream ~name:"non-convex fallback"
+    ~goal_src:"dial.n >= 6 or dial.hit and dial.n >= 3" ~horizon:40.0 ~seeds:2
+    fallback_model
+
 (* ------------------------------------------------------------------ *)
 (* State-level lockstep: every compiled move against [Moves.apply]     *)
 
@@ -380,15 +491,15 @@ let lockstep ~name net ~walks ~steps =
       if k <= steps then begin
         let pre = Compiled.to_state c s in
         Compiled.set_rates c s;
-        let inv_win = Compiled.invariant_window c s in
-        let timed = Compiled.discrete c s inv_win in
-        if
-          compare (List.map (fun t -> t.Moves.move) timed)
-            (List.map (fun t -> t.Moves.move) (Moves.discrete net pre))
-          <> 0
-        then Alcotest.failf "%s" (where k "discrete moves differ");
-        let markov = Compiled.markovian c s in
-        let n_t = List.length timed and n_m = List.length markov in
+        Compiled.invariant_window c s;
+        let inv_win = Window.to_set (Compiled.inv_window s) 0 in
+        if compare inv_win (Moves.invariant_window net pre) <> 0 then
+          Alcotest.failf "%s" (where k "invariant windows differ");
+        let n_t = Compiled.discrete c s in
+        let timed = Compiled.timed_moves s in
+        if compare timed (Moves.discrete net pre) <> 0 then
+          Alcotest.failf "%s" (where k "discrete moves or windows differ");
+        let n_m = Compiled.markovian c s in
         if n_t + n_m > 0 then begin
           let i = Random.State.int rng (n_t + n_m) in
           let window =
@@ -407,22 +518,30 @@ let lockstep ~name net ~walks ~steps =
               let move = (List.nth timed i).Moves.move in
               Compiled.advance c s d;
               same_state (where k "advance") advanced (Compiled.to_state c s);
-              if
-                compare (Compiled.enabled_after c s d timed)
-                  (Moves.enabled_after net pre d timed)
-                <> 0
-              then Alcotest.failf "%s" (where k "enabled_after differs");
+              let enabled = List.init (Compiled.enabled_after c s d) (Compiled.move s) in
+              if compare enabled (Moves.enabled_after net pre d timed) <> 0 then
+                Alcotest.failf "%s" (where k "enabled_after differs");
               same_state (where k "after trials") advanced (Compiled.to_state c s);
-              Compiled.apply c s move;
+              (* Commit through the buffer when the move survived the
+                 trials, else as a plain [Moves.move]. *)
+              (match List.find_index (fun m -> compare m move = 0) enabled with
+              | Some j -> Compiled.fire c s j
+              | None -> Compiled.apply c s move);
               incr delay_firings;
               same_state (where k "delay firing")
                 (Moves.apply net pre ~delay:d move)
                 (Compiled.to_state c s)
             end
             else begin
-              let p, tr, _ = List.nth markov (i - n_t) in
+              let j = i - n_t in
+              let p = Compiled.markov_proc s j and tr = Compiled.markov_tr s j in
               let move = Moves.Local { proc = p; tr } in
-              Compiled.apply c s ~delay:d move;
+              if
+                compare (List.nth (Moves.markovian net pre) j)
+                  (p, tr, (Compiled.markov_buf s).(j))
+                <> 0
+              then Alcotest.failf "%s" (where k "Markov race entries differ");
+              Compiled.fire_markov c s ~delay:d j;
               incr markov_firings;
               same_state (where k "Markov firing")
                 (Moves.apply net pre ~delay:d move)
@@ -443,7 +562,7 @@ let lockstep ~name net ~walks ~steps =
 let test_lockstep () =
   List.iter
     (fun (name, src) -> lockstep ~name (load src) ~walks:20 ~steps:60)
-    (("restart", restart_model) :: bundled_models ())
+    (("restart", restart_model) :: ("fallback", fallback_model) :: bundled_models ())
 
 (* The flow cone rests on this order: [Network.make] sorts the flows so
    that each reads only variables that no flow targets or that earlier
@@ -625,12 +744,118 @@ let test_obs_bit_identity () =
     (Metrics.histogram_count steps);
   Metrics.reset ()
 
+(* ------------------------------------------------------------------ *)
+(* Allocation gate                                                     *)
+
+(* Minor words per step of the compiled step loop, per bundled model:
+   path ids 0-199 at seed 1 on this domain, the steps counted by the
+   path-steps histogram of a first pass, the words by a second pass
+   without instrumentation (per-path allocation, such as the RNG and
+   the verdict, is spread over the path's steps).  The bounds are the
+   values measured with OCaml 5.1.1 (in comments) plus about 60 %
+   headroom for other compiler versions; a step that builds window
+   lists, move lists or boxed race results again exceeds them many
+   times over (the list-based step measured about 2 100 words on the
+   recoverable launcher and 280 on the sensor-filter models). *)
+let alloc_rows =
+  [
+    (* model, property, [(strategy, bound (* measured *))] in words/step *)
+    ( "gps.slim",
+      "P(<> [0, 300] gps in mode active and not gps.measurement)",
+      [ (Strategy.Asap, 35. (* 20.8 *)); (Strategy.Progressive, 40. (* 25.0 *)) ] );
+    ( "gps_nominal.slim",
+      "P(<> [0, 300] measurement)",
+      [ (Strategy.Asap, 35. (* 22.0 *)); (Strategy.Progressive, 40. (* 25.0 *)) ] );
+    ( "heater.slim",
+      "P(<> [0, 300] heater in mode broken)",
+      [ (Strategy.Asap, 35. (* 21.0 *)); (Strategy.Progressive, 45. (* 26.0 *)) ] );
+    ( "launcher_permanent.slim",
+      "P(<> [0, 60] mission in mode flight and not thrusters.ctl)",
+      [ (Strategy.Asap, 35. (* 20.7 *)); (Strategy.Progressive, 45. (* 26.1 *)) ] );
+    ( "launcher_recoverable.slim",
+      "P(<> [0, 60] mission in mode flight and not thrusters.ctl)",
+      [ (Strategy.Asap, 35. (* 20.1 *)); (Strategy.Progressive, 45. (* 26.1 *)) ] );
+    ( "mm1k.slim",
+      "P(<> [0, 100] q = 4)",
+      [ (Strategy.Asap, 25. (* 15.5 *)); (Strategy.Progressive, 25. (* 15.5 *)) ] );
+    ( "mm1k_priced.slim",
+      "P(<> [0, 100] served = 5)",
+      [ (Strategy.Asap, 30. (* 18.9 *)); (Strategy.Progressive, 30. (* 18.9 *)) ] );
+    ( "sensor_filter_2.slim",
+      "P(<> [0, 1800] sensors.exhausted or filters.exhausted)",
+      [ (Strategy.Asap, 35. (* 22.0 *)); (Strategy.Progressive, 40. (* 24.9 *)) ] );
+    ( "sensor_filter_2_timed.slim",
+      "P(<> [0, 1800] sensors.exhausted or filters.exhausted)",
+      [ (Strategy.Asap, 35. (* 21.5 *)); (Strategy.Progressive, 40. (* 24.9 *)) ] );
+    ( "sensor_filter_4.slim",
+      "P(<> [0, 1800] sensors.exhausted or filters.exhausted)",
+      [ (Strategy.Asap, 40. (* 22.8 *)); (Strategy.Progressive, 45. (* 26.8 *)) ] );
+  ]
+
+(* Minor words per step of [paths] compiled paths. *)
+let words_per_step c q cfg strategy ~paths =
+  let module Metrics = Slimsim_obs.Metrics in
+  let s = Compiled.scratch c in
+  let run ?obs () =
+    for path = 0 to paths - 1 do
+      ignore
+        (Path.generate_compiled ?obs c s q cfg strategy (Rng.for_path ~seed:1L ~path))
+    done
+  in
+  Metrics.set_enabled true;
+  let steps =
+    Fun.protect
+      (fun () ->
+        run ~obs:(Path.obs_cell ~worker:0) ();
+        Metrics.histogram_sum
+          (Metrics.histogram
+             ~labels:[ ("worker", "0") ]
+             "slimsim_path_steps" ~help:"Steps taken per simulated path"))
+      ~finally:(fun () ->
+        Metrics.set_enabled false;
+        Metrics.reset ())
+  in
+  let w0 = Gc.minor_words () in
+  run ();
+  (Gc.minor_words () -. w0) /. steps
+
+let test_alloc_gate () =
+  List.iter
+    (fun (file, property, bounds) ->
+      let net = load (List.assoc file (bundled_models ())) in
+      let goal, hold, horizon =
+        match
+          Result.bind
+            (Slimsim_props.Pattern.parse property)
+            (Slimsim_props.Pattern.resolve net)
+        with
+        | Ok r -> r
+        | Error e -> Alcotest.failf "%s: %s" file e
+      in
+      let c = Compiled.compile net in
+      let q = Path.compile_query ?hold c ~goal in
+      List.iter
+        (fun (strategy, bound) ->
+          let per_step =
+            words_per_step c q (Path.default_config ~horizon) strategy ~paths:200
+          in
+          Printf.printf "alloc gate: %s %s %.1f words/step\n" file
+            (Strategy.to_string strategy) per_step;
+          if per_step > bound then
+            Alcotest.failf "%s (%s): %.1f minor words per step, bound %.0f" file
+              (Strategy.to_string strategy) per_step bound)
+        bounds)
+    alloc_rows
+
 let suite =
   [
     prop 2000 "compiled value = eval" gen_case prop_value;
     prop 2000 "compiled bool = eval_bool" gen_case prop_bool;
     prop 2000 "compiled float = as_float eval" gen_case prop_float;
     prop 2000 "compiled sat = Linear.sat_set" gen_case prop_sat;
+    prop 2000 "window writer = Linear.sat_set on [0, inf)" gen_case prop_window;
+    prop 2000 "convex window writer = Linear.sat_set on [0, inf)"
+      (Gen.pair gen_convex gen_state) prop_convex_window;
     Alcotest.test_case "verdicts: gps nominal" `Quick test_verdicts_gps_nominal;
     Alcotest.test_case "verdicts: gps full" `Quick test_verdicts_gps_full;
     Alcotest.test_case "verdicts: sensor-filter" `Quick test_verdicts_sensor_filter;
@@ -640,6 +865,7 @@ let suite =
     Alcotest.test_case "verdicts: until on mm1k" `Quick test_verdicts_queue_until;
     Alcotest.test_case "verdicts: mm1k priced" `Quick test_verdicts_mm1k_priced;
     Alcotest.test_case "verdicts: restart" `Quick test_verdicts_restart;
+    Alcotest.test_case "verdicts: non-convex fallback" `Quick test_verdicts_fallback;
     Alcotest.test_case "state lockstep with Moves.apply" `Quick test_lockstep;
     Alcotest.test_case "flows in reader-after-writer order" `Quick test_flow_order;
     Alcotest.test_case "engine equality" `Slow test_engine_equality;
@@ -647,4 +873,5 @@ let suite =
     Alcotest.test_case "error policy" `Quick test_error_policy;
     Alcotest.test_case "scratch reuse is clean" `Quick test_scratch_reuse_is_clean;
     Alcotest.test_case "observability bit-identity" `Quick test_obs_bit_identity;
+    Alcotest.test_case "allocation gate: words per step" `Quick test_alloc_gate;
   ]

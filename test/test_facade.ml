@@ -248,6 +248,134 @@ let test_expected_cost_on_p0 () =
       e
   | Ok _ -> Alcotest.fail "E[...] on a P0-certified goal answered"
 
+(* Invariance patterns run the campaign on the negated goal; every
+   running figure must report the complement, like the final answer:
+   the CLI's --progress heartbeat and serve's [status] of a running job
+   (which reads [Campaign.snapshot]). *)
+let invariance_query = "P([] [0, 10] q < 4)"
+
+let prepare_invariance ?progress ?(complement = true) () =
+  let m = model "mm1k_priced.slim" in
+  match
+    Result.bind (Slimsim.parse `Property invariance_query) (fun q ->
+        Result.bind (Slimsim.plan m q) (fun plan ->
+            if not plan.Slimsim.complement then
+              Alcotest.fail "an invariance pattern plans a complement";
+            Slimsim.prepare ~seed ?progress m { plan with Slimsim.complement }
+              ~strategy:Strategy.Asap ~delta:0.01 ~eps:0.01 ()))
+  with
+  | Ok p -> p
+  | Error e -> Alcotest.failf "prepare: %s" e
+
+let test_invariance_heartbeat () =
+  let file = Filename.temp_file "slimsim_progress" ".txt" in
+  let out = open_out file in
+  let progress = Slimsim_obs.Progress.create ~interval:1e-9 ~out () in
+  let p = prepare_invariance ~progress () in
+  let final =
+    match Campaign.drive p.Slimsim.campaign with
+    | Ok r -> Slimsim.estimate_of_result ~complement:true r
+    | Error e -> Alcotest.failf "drive: %s" (Slimsim_sim.Path.error_to_string e)
+  in
+  close_out out;
+  let text = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  (* The last heartbeat follows the last sample: its estimate is the
+     final answer, at the heartbeat's six digits. *)
+  let last =
+    String.split_on_char '\r' text
+    |> List.filter_map (fun l ->
+           match String.index_opt l '~' with
+           | Some i ->
+             Scanf.sscanf_opt (String.sub l (i + 1) (String.length l - i - 1)) " %f" Fun.id
+           | None -> None)
+    |> List.rev
+  in
+  match last with
+  | [] -> Alcotest.fail "no heartbeat printed"
+  | p :: _ ->
+    Alcotest.(check (float 1e-6))
+      "heartbeat p is the answer's p" final.Slimsim.probability p;
+    if Float.abs (p -. (1.0 -. final.Slimsim.probability)) < 0.05 then
+      Alcotest.fail "the heartbeat shows the negated goal's estimate"
+
+let test_invariance_status () =
+  (* Two campaigns on the same seed, one reporting the complement; a
+     serve slice is a [Campaign.step] with a quota. *)
+  let step_snapshot complement =
+    let p = prepare_invariance ~complement () in
+    (match Campaign.step ~quota:200 p.Slimsim.campaign with
+    | Campaign.Running -> ()
+    | _ -> Alcotest.fail "the campaign finished within one slice");
+    Campaign.snapshot p.Slimsim.campaign
+  in
+  let m, lo, hi, n = step_snapshot true in
+  let m', lo', hi', n' = step_snapshot false in
+  Alcotest.(check int) "same slice" n' n;
+  Alcotest.(check (float 0.0)) "mean" (1.0 -. m') m;
+  Alcotest.(check (float 0.0)) "ci_low" (1.0 -. hi') lo;
+  Alcotest.(check (float 0.0)) "ci_high" (1.0 -. lo') hi
+
+(* [slimsim trace --path N] replays path N of a campaign: its verdict is
+   the one the campaign's own runner draws for path id N. *)
+let test_trace_path_replay () =
+  let here = Filename.dirname Sys.executable_name in
+  let bin = Filename.concat here "../bin/slimsim_cli.exe" in
+  let out = Filename.temp_file "slimsim_trace" ".txt" in
+  let trace_verdict file property strategy n =
+    let code =
+      Sys.command
+        (Filename.quote_command bin ~stdout:out ~stderr:Filename.null
+           [
+             "trace"; Filename.concat here ("../examples/models/" ^ file); "-p";
+             property; "-s"; Strategy.to_string strategy; "--seed";
+             Int64.to_string seed; "--path"; string_of_int n;
+           ])
+    in
+    if code <> 0 then Alcotest.failf "trace --path %d exited %d" n code;
+    let lines =
+      String.split_on_char '\n' (In_channel.with_open_bin out In_channel.input_all)
+    in
+    match List.find_opt (String.starts_with ~prefix:"verdict: ") lines with
+    | Some l -> String.sub l 9 (String.length l - 9)
+    | None -> Alcotest.failf "trace --path %d printed no verdict" n
+  in
+  Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+  List.iter
+    (fun (file, property, strategy) ->
+      let m = model file in
+      let plan =
+        match Result.bind (Slimsim.parse `Property property) (Slimsim.plan m) with
+        | Ok p -> p
+        | Error e -> Alcotest.failf "%s: %s" file e
+      in
+      let run =
+        Campaign.make_runner ~engine:`Compiled ~seed ?hold:plan.Slimsim.hold
+          plan.Slimsim.config (Slimsim.network m) ~goal:plan.Slimsim.goal ~strategy
+          ~worker:0 ()
+      in
+      List.iter
+        (fun n ->
+          let expected =
+            match run n with
+            | Ok v -> Slimsim_sim.Path.verdict_to_string v
+            | Error e ->
+              Alcotest.failf "path %d: %s" n (Slimsim_sim.Path.error_to_string e)
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s path %d" file n)
+            expected
+            (trace_verdict file property strategy n))
+        [ 0; 3; 17; 42 ])
+    [
+      ( "gps.slim",
+        "P(<> [0, 300] gps in mode active and not gps.measurement)",
+        Strategy.Progressive );
+      ( "launcher_recoverable.slim",
+        "P(<> [0, 60] mission in mode flight and not thrusters.ctl)",
+        Strategy.Progressive );
+    ]
+
 let suite =
   List.map
     (fun r -> Alcotest.test_case ("pinned: " ^ r.name) `Quick (pinned r))
@@ -259,4 +387,10 @@ let suite =
         `Quick test_prepare_drive_map;
       Alcotest.test_case "E[...] on a P0 goal is an error" `Quick
         test_expected_cost_on_p0;
+      Alcotest.test_case "invariance heartbeat reports 1 - p" `Quick
+        test_invariance_heartbeat;
+      Alcotest.test_case "invariance status reports 1 - p" `Quick
+        test_invariance_status;
+      Alcotest.test_case "trace --path replays a campaign path" `Quick
+        test_trace_path_replay;
     ]

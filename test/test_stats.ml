@@ -115,12 +115,13 @@ let test_negative_params_rejected () =
   Alcotest.check_raises "race negative rate"
     (Invalid_argument "Dist.exponential_race: negative rate") (fun () ->
       ignore (Dist.exponential_race r ~rates:[| 0.5; -1.0 |]));
-  Alcotest.check_raises "race_n negative rate"
-    (Invalid_argument "Dist.exponential_race_n: negative rate") (fun () ->
-      ignore (Dist.exponential_race_n r ~rates:[| 0.5; -1.0; 3.0 |] ~n:2));
+  let time = [| 0.0 |] in
+  Alcotest.check_raises "race_into negative rate"
+    (Invalid_argument "Dist.exponential_race_into: negative rate") (fun () ->
+      ignore (Dist.exponential_race_into r ~rates:[| 0.5; -1.0; 3.0 |] ~n:2 ~time));
   (* entries beyond [n] are outside the race: neither summed nor checked *)
   Alcotest.(check bool) "rates beyond n ignored" true
-    (Dist.exponential_race_n r ~rates:[| 0.5; 1.0; -3.0 |] ~n:2 <> None)
+    (Dist.exponential_race_into r ~rates:[| 0.5; 1.0; -3.0 |] ~n:2 ~time >= 0)
 
 let prop cnt name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:cnt ~name gen f)
